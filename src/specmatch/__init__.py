@@ -21,7 +21,6 @@ from .graphs import (
     extremal_partition,
     family_partition,
     is_connected,
-    is_isomorphic,
     is_k_connected,
     isolated_count,
     join,
@@ -49,7 +48,6 @@ from .matching import (
     matching_number,
     max_matching,
     max_matching_size_bruteforce,
-    parity_deficiency_ok,
     tutte_certificate,
     tutte_deficiency_bruteforce,
 )
@@ -59,11 +57,9 @@ from .spectra import (
     Ordering,
     SpectralEstimate,
     compare_estimates,
-    compare_mu,
     distance_matrix,
     distance_spectral_radius,
     mu_lower_bound_wiener,
-    transmissions,
     wiener_index,
 )
 from .quotient import (
@@ -79,7 +75,6 @@ from .quotient import (
     gap_bound_cubic_deriv,
     gap_bound_floor_deriv,
     hub_gap_coefficient,
-    is_equitable,
     largest_root,
     quotient_matrix,
 )

@@ -12,9 +12,6 @@ from typing import Iterable, Iterator
 
 VERTEX_CAP = 64
 
-# orders above this are refused by the isomorphism decision (see is_isomorphic)
-ISO_CAP = 12
-
 
 class CapacityError(ValueError):
     """Requested graph order exceeds the vertex cap."""
@@ -341,7 +338,7 @@ def matches_clique_join(g: Graph, s: int, parts: Iterable[int]) -> bool:
 
     Structural decision, exact for q >= 2: the hub is then precisely the set
     of universal vertices, and the rest must split into cliques with the given
-    order multiset. Works at any order, unlike the generic isomorphism test.
+    order multiset. Works at any order.
     """
     parts = sorted(parts)
     if len(parts) < 2:
@@ -360,71 +357,6 @@ def matches_clique_join(g: Graph, s: int, parts: Iterable[int]) -> bool:
             if (g.rows[v] & comp).bit_count() != size - 1:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (small orders)
-
-
-def _refine_colors(g: Graph, colors: list[int]) -> list[int]:
-    # 1-dimensional Weisfeiler-Leman refinement to a stable coloring
-    while True:
-        signatures = []
-        for v in range(g.n):
-            nbr = sorted(colors[u] for u in _iter_bits(g.rows[v]))
-            signatures.append((colors[v], tuple(nbr)))
-        table = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = [table[sig] for sig in signatures]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool | None:
-    """Isomorphism decision for n <= 12; returns None (indeterminate) above.
-
-    Color-refinement narrows the candidate map, then a backtracking search
-    extends it vertex by vertex.
-    """
-    if g.n != h.n:
-        return False
-    if g.n > ISO_CAP:
-        return None
-    if g.edge_count() != h.edge_count():
-        return False
-    cg = _refine_colors(g, [0] * g.n)
-    ch = _refine_colors(h, [0] * h.n)
-    if sorted(cg) != sorted(ch):
-        return False
-
-    n = g.n
-    mapping = [-1] * n          # g vertex -> h vertex
-    used = 0
-    order = sorted(range(n), key=lambda v: (cg.count(cg[v]), cg[v]))
-
-    def extend(idx: int) -> bool:
-        nonlocal used
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in range(n):
-            if used >> w & 1 or ch[w] != cg[v]:
-                continue
-            ok = True
-            for u in order[:idx]:
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used |= 1 << w
-                if extend(idx + 1):
-                    return True
-                used ^= 1 << w
-                mapping[v] = -1
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Verification suites: threshold scans, family structure checks, probes.
 
 Each suite returns a SuiteReport whose `violations` list is empty exactly
-when every checked instance satisfied its predicate. Violations carry the
-witness graph in graph6 form plus enough data to replay the failed check
-deterministically (see replay_violation).
+when every checked instance satisfied its predicate. Every check that has a
+witness graph is decided by one predicate, registered in CHECKS under the
+check's name: it returns a violation record (the witness in graph6 form plus
+the parameters of the check) or None. The suites call the predicates, and
+replay_violation calls the same predicate on a recorded witness.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
@@ -50,6 +53,7 @@ from .quotient import (
     gap_bound_at_radius_floor,
     gap_bound_cubic,
     gap_bound_cubic_deriv,
+    gap_bound_floor_deriv,
     hub_gap_coefficient,
     largest_root,
     quotient_matrix,
@@ -59,11 +63,14 @@ from .spectra import (
     compare_estimates,
     distance_matrix,
     distance_spectral_radius,
+    mu_lower_bound_wiener,
     wiener_index,
 )
 
 _SCAN_TOL = 1e-9
 _BLOCK_BITS = 18
+# stages of the threshold-order chain, counted by both scan variants
+_FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
 ENUMERATE_CAP = 8
 
 
@@ -103,6 +110,12 @@ def _violation(check: str, witness: Graph | None, detail: str, **data) -> dict:
         "detail": detail,
         "data": data,
     }
+
+
+def _record(report: SuiteReport, violation: dict | None) -> None:
+    report.cases += 1
+    if violation is not None:
+        report.violations.append(violation)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +174,72 @@ def _reference_parts(n: int) -> tuple[int, tuple[int, ...]]:
 # extremal family structure suite
 
 
+def _check_exact_connectivity(g: Graph, k: int) -> dict | None:
+    if is_k_connected(g, k) and not is_k_connected(g, k + 1):
+        return None
+    return _violation("exact-connectivity", g, f"connectivity != {k}", n=g.n, k=k)
+
+
+def _check_fractional_pm(g: Graph) -> dict | None:
+    if has_fractional_pm(g):
+        return None
+    return _violation("fractional-pm", g, "no fractional perfect matching", n=g.n)
+
+
+def _check_tutte_certificate(g: Graph, k: int, cert=None) -> dict | None:
+    """The k-vertex hub is the minimal Tutte set, leaving k+2 odd components."""
+    # None is also the answer for a graph with a perfect matching: searching
+    # again then only repeats a check that fails either way
+    cert = tutte_certificate(g) if cert is None else cert
+    if cert is None or cert is UNKNOWN:
+        detail = f"expected certificate, got {cert}"
+    elif cert.vertex_mask != (1 << k) - 1 or cert.odd_count != k + 2:
+        detail = (
+            f"expected hub with {k + 2} odd components, got "
+            f"S={cert.vertices()}, o={cert.odd_count}"
+        )
+    else:
+        return None
+    return _violation("tutte-certificate", g, detail, n=g.n, k=k)
+
+
+def _check_exhaustive_oracles(g: Graph, deficiency=None) -> dict | None:
+    deficiency = tutte_deficiency_bruteforce(g)[0] if deficiency is None else deficiency
+    if not has_pm_bruteforce(g) and has_fractional_pm_exhaustive(g) and deficiency == 2:
+        return None
+    return _violation("exhaustive-oracles", g, "subset oracles disagree", n=g.n)
+
+
+def _check_quartic_agreement(g: Graph, k: int, tol: float, est=None, root=None) -> dict | None:
+    est = distance_spectral_radius(g, tol) if est is None else est
+    root = family_quartic_root(g.n, k) if root is None else root
+    if abs(est.value - root.value) <= 1e-6:
+        return None
+    detail = f"power iteration {est.value!r} vs quartic root {root.value!r}"
+    return _violation("quartic-agreement", g, detail, n=g.n, k=k, tol=tol)
+
+
+def _check_wiener_closed_form(g: Graph, k: int, wiener=None) -> dict | None:
+    n = g.n
+    wiener = wiener_index(g) if wiener is None else wiener
+    closed_form = (n * n + (2 * k + 5) * n - 3 * k * k - 13 * k - 18) // 2
+    if wiener == closed_form:
+        return None
+    return _violation("wiener-closed-form", g, f"W={wiener} != {closed_form}", n=n, k=k)
+
+
+def _check_radius_floor(g: Graph, k: int, wiener=None, root=None) -> dict | None:
+    """Exact certificates: the quartic negative at n+k+3 puts the root above
+    it, and 2W/n > n+k+3 keeps the whole bisection bracket above as well."""
+    n = g.n
+    floor = n + k + 3
+    wiener = wiener_index(g) if wiener is None else wiener
+    root = family_quartic_root(n, k) if root is None else root
+    if family_quartic(n, k)(floor) < 0 and Fraction(2 * wiener, n) > floor and root.lo > floor:
+        return None
+    return _violation("radius-floor", g, f"radius not certified above {floor}", n=n, k=k)
+
+
 def verify_extremal_family(
     n: int, k: int, tol: float = 1e-8, include_exhaustive_oracles: bool = False
 ) -> SuiteReport:
@@ -174,89 +253,31 @@ def verify_extremal_family(
     t0 = time.perf_counter()
     report = SuiteReport("theorem13-family", {"n": n, "k": k, "tol": tol})
     g = extremal_family(n, k)
-    hub_mask = (1 << k) - 1
 
-    report.cases += 1
-    if not (is_k_connected(g, k) and not is_k_connected(g, k + 1)):
-        report.violations.append(
-            _violation("exact-connectivity", g, f"connectivity != {k}", n=n, k=k)
-        )
-
-    report.cases += 1
-    if not has_fractional_pm(g):
-        report.violations.append(
-            _violation("fractional-pm", g, "no fractional perfect matching", n=n, k=k)
-        )
-
-    report.cases += 1
+    _record(report, _check_exact_connectivity(g, k))
+    _record(report, _check_fractional_pm(g))
     cert = tutte_certificate(g)
-    if cert is None or cert is UNKNOWN:
-        report.violations.append(
-            _violation("tutte-certificate", g, f"expected certificate, got {cert}", n=n, k=k)
-        )
-    else:
+    if cert is not None and cert is not UNKNOWN:
         report.extras["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,
         }
-        if cert.vertex_mask != hub_mask or cert.odd_count != k + 2:
-            report.violations.append(
-                _violation(
-                    "tutte-certificate",
-                    g,
-                    f"expected hub with {k + 2} odd components, got "
-                    f"S={cert.vertices()}, o={cert.odd_count}",
-                    n=n,
-                    k=k,
-                )
-            )
+    _record(report, _check_tutte_certificate(g, k, cert))
 
     if include_exhaustive_oracles:
-        report.cases += 1
         deficiency, _ = tutte_deficiency_bruteforce(g)
-        ok = (
-            not has_pm_bruteforce(g)
-            and has_fractional_pm_exhaustive(g)
-            and deficiency == 2
-        )
-        if not ok:
-            report.violations.append(
-                _violation("exhaustive-oracles", g, "subset oracles disagree", n=n, k=k)
-            )
+        _record(report, _check_exhaustive_oracles(g, deficiency))
         report.extras["exhaustive_deficiency"] = deficiency
 
-    report.cases += 1
     est = distance_spectral_radius(g, tol)
     root = family_quartic_root(n, k)
     report.extras["mu_estimate"] = [est.value, est.lo, est.hi]
     report.extras["quartic_root"] = [root.value, float(root.lo), float(root.hi)]
-    if abs(est.value - root.value) > 1e-6:
-        report.violations.append(
-            _violation(
-                "quartic-agreement",
-                g,
-                f"power iteration {est.value!r} vs quartic root {root.value!r}",
-                n=n,
-                k=k,
-            )
-        )
+    _record(report, _check_quartic_agreement(g, k, tol, est, root))
 
-    report.cases += 1
-    poly = family_quartic(n, k)
-    floor = n + k + 3
     wiener = wiener_index(g)
-    closed_form = (n * n + (2 * k + 5) * n - 3 * k * k - 13 * k - 18) // 2
-    if wiener != closed_form:
-        report.violations.append(
-            _violation("wiener-closed-form", g, f"W={wiener} != {closed_form}", n=n, k=k)
-        )
-    # exact certificates: quartic negative at n+k+3 puts the root above it,
-    # and 2W/n > n+k+3 keeps the whole bisection bracket above as well
-    report.cases += 1
-    if not (poly(floor) < 0 and Fraction(2 * wiener, n) > floor and root.lo > floor):
-        report.violations.append(
-            _violation("radius-floor", g, f"radius not certified above {floor}", n=n, k=k)
-        )
+    _record(report, _check_wiener_closed_form(g, k, wiener))
+    _record(report, _check_radius_floor(g, k, wiener, root))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -264,6 +285,43 @@ def verify_extremal_family(
 
 # ---------------------------------------------------------------------------
 # ordering chain suite
+
+
+def _check_chain_canonical(
+    g: Graph, n: int, s: int, parts: list[int], tol: float, est=None, est_canon=None
+) -> dict | None:
+    """First leg of the ordering chain for g = K_s v (K_{n1} u ... u K_{nq}).
+    If the parts are the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}), the
+    radii must not separate and g must be that shape ("chain-equality");
+    otherwise mu(g) is strictly above the canonical shape ("chain-canonical")."""
+    target_parts = (1,) * s + (3, n - 2 * s - 3)
+    est = distance_spectral_radius(g, tol) if est is None else est
+    if est_canon is None:
+        est_canon = distance_spectral_radius(barrier_family(FamilySpec(n, s, target_parts)), tol)
+    order = compare_estimates(est, est_canon)
+    if tuple(parts) == target_parts:
+        if order is Ordering.INDETERMINATE and matches_clique_join(g, s, target_parts):
+            return None
+        check, detail = "chain-equality", "equality case not confirmed structurally"
+    elif order is Ordering.GREATER:
+        return None
+    else:
+        check, detail = "chain-canonical", f"expected mu above canonical shape, got {order.value}"
+    return _violation(check, g, detail, n=n, s=s, parts=list(parts), tol=tol)
+
+
+def _check_chain_threshold(
+    g: Graph, n: int, s: int, k: int, tol: float, est=None, est_star=None
+) -> dict | None:
+    """Second leg: the canonical s-hub shape g is strictly above the k-hub
+    threshold graph."""
+    est = distance_spectral_radius(g, tol) if est is None else est
+    if est_star is None:
+        est_star = distance_spectral_radius(extremal_family(n, k), tol)
+    if compare_estimates(est, est_star) is Ordering.GREATER:
+        return None
+    detail = f"canonical s-hub shape not above k-hub threshold (s={s}, k={k})"
+    return _violation("chain-threshold", g, detail, n=n, s=s, k=k, tol=tol)
 
 
 def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteReport:
@@ -294,54 +352,14 @@ def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteR
     g2 = barrier_family(FamilySpec(n, s, target_parts))
     est1 = distance_spectral_radius(g1, tol)
     est2 = distance_spectral_radius(g2, tol)
-    order = compare_estimates(est1, est2)
-    equality_case = spec.parts == target_parts
-    report.extras["equality_case"] = equality_case
+    report.extras["equality_case"] = spec.parts == target_parts
     report.extras["mu"] = {"given": est1.value, "canonical": est2.value}
-
-    report.cases += 1
-    if equality_case:
-        if order is not Ordering.INDETERMINATE or not matches_clique_join(g1, s, target_parts):
-            report.violations.append(
-                _violation(
-                    "chain-equality",
-                    g1,
-                    "equality case not confirmed structurally",
-                    n=n,
-                    s=s,
-                    parts=list(spec.parts),
-                )
-            )
-    elif order is not Ordering.GREATER:
-        report.violations.append(
-            _violation(
-                "chain-canonical",
-                g1,
-                f"expected mu above canonical shape, got {order.value}",
-                n=n,
-                s=s,
-                parts=list(spec.parts),
-                tol=tol,
-            )
-        )
+    _record(report, _check_chain_canonical(g1, n, s, list(spec.parts), tol, est1, est2))
 
     if s >= k + 1:
-        report.cases += 1
-        g_star = extremal_family(n, k)
-        est_star = distance_spectral_radius(g_star, tol)
+        est_star = distance_spectral_radius(extremal_family(n, k), tol)
         report.extras["mu"]["threshold"] = est_star.value
-        if compare_estimates(est2, est_star) is not Ordering.GREATER:
-            report.violations.append(
-                _violation(
-                    "chain-threshold",
-                    g2,
-                    f"canonical s-hub shape not above k-hub threshold (s={s}, k={k})",
-                    n=n,
-                    s=s,
-                    k=k,
-                    tol=tol,
-                )
-            )
+        _record(report, _check_chain_threshold(g2, n, s, k, tol, est2, est_star))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -382,32 +400,60 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_rows(rows)
 
 
+def _check_threshold_order(
+    g: Graph, n: int, tol: float = _SCAN_TOL, ref_hi=None, counts=None, admitted=False
+) -> dict | None:
+    """Theorem 11 for one graph: if g is connected without a perfect matching
+    (taken as given when `admitted`), its radius is strictly above the
+    threshold graph's, or g is the threshold graph. The exact 2W/n prune, the
+    structural match and the eigensolve run in turn; `counts` tallies the
+    stage that decided g."""
+    if not admitted and (not is_connected(g) or has_perfect_matching(g)):
+        return None
+    ref_hi = threshold_reference(n)[2].hi if ref_hi is None else ref_hi
+    counts = dict.fromkeys(_FUNNEL_KEYS, 0) if counts is None else counts
+    if mu_lower_bound_wiener(g) > ref_hi:
+        counts["wiener_exact_pruned"] += 1
+        return None
+    if matches_clique_join(g, *_reference_parts(n)):
+        counts["extremal_matches"] += 1
+        return None
+    est = distance_spectral_radius(g, tol)
+    counts["eigensolves"] += 1
+    if est.lo > float(ref_hi):
+        counts["strictly_greater"] += 1
+        return None
+    return _violation(
+        "threshold-order",
+        g,
+        "no perfect matching yet radius not above the threshold",
+        n=n,
+        estimate=[est.lo, est.hi],
+        reference_hi=float(ref_hi),
+        tol=tol,
+    )
+
+
 def _scan_range(
     n: int,
     start: int,
     stop: int,
     ref_hi: Fraction,
     m_max: int,
-    ref_s: int,
-    ref_parts: tuple[int, ...],
     progress: Callable[[int, int], None] | None = None,
 ) -> dict:
-    """Scan edge-set masks in [start, stop); vectorized prefilters, then exact
-    certificates for the connected no-matching survivors."""
+    """Scan edge-set masks in [start, stop); vectorized prefilters, then the
+    threshold-order chain for the connected no-matching survivors."""
     pairs = list(itertools.combinations(range(n), 2))
     pair_bit = {uv: i for i, uv in enumerate(pairs)}
     pm_masks = _perfect_matching_masks(n, pair_bit)
-    ref_hi_float = float(ref_hi)
     full_reach = (1 << n) - 1
 
     counts = {
         "connected": 0,
         "no_pm_connected": 0,
         "wiener_mask_pruned": 0,
-        "wiener_exact_pruned": 0,
-        "extremal_matches": 0,
-        "strictly_greater": 0,
-        "eigensolves": 0,
+        **dict.fromkeys(_FUNNEL_KEYS, 0),
     }
     violations: list[dict] = []
     block_size = 1 << _BLOCK_BITS
@@ -440,30 +486,10 @@ def _scan_range(
         counts["no_pm_connected"] += int(interesting.sum())
         counts["wiener_mask_pruned"] += int(certified.sum())
         for i in np.nonzero(interesting & (medges > m_max))[0]:
-            mask = int(block[i])
-            g = _graph_from_mask(n, mask, pairs)
-            if Fraction(2 * wiener_index(g), n) > ref_hi:
-                counts["wiener_exact_pruned"] += 1
-                continue
-            if matches_clique_join(g, ref_s, ref_parts):
-                counts["extremal_matches"] += 1
-                continue
-            est = distance_spectral_radius(g, _SCAN_TOL)
-            counts["eigensolves"] += 1
-            if est.lo > ref_hi_float:
-                counts["strictly_greater"] += 1
-                continue
-            violations.append(
-                _violation(
-                    "threshold-order",
-                    g,
-                    "no perfect matching yet radius not above the threshold",
-                    n=n,
-                    estimate=[est.lo, est.hi],
-                    reference_hi=ref_hi_float,
-                    tol=_SCAN_TOL,
-                )
-            )
+            g = _graph_from_mask(n, int(block[i]), pairs)
+            violation = _check_threshold_order(g, n, ref_hi=ref_hi, counts=counts, admitted=True)
+            if violation is not None:
+                violations.append(violation)
         done += hi - lo
         if progress is not None:
             progress(done, stop - start)
@@ -491,7 +517,6 @@ def pm_threshold_scan(
         raise ParameterError(f"even order >= 4 required, got {n}")
     t0 = time.perf_counter()
     ref_g, _, ref_root = threshold_reference(n)
-    ref_s, ref_parts = _reference_parts(n)
     params = {"n": n, "variant": variant, "chunk": f"{chunk[0]}/{chunk[1]}"}
     report = SuiteReport("theorem11", params)
     report.extras["reference_g6"] = write_graph6(ref_g)
@@ -515,16 +540,14 @@ def pm_threshold_scan(
 
             edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
             args = [
-                (n, edges[i], edges[i + 1], ref_root.hi, m_max, ref_s, ref_parts)
+                (n, edges[i], edges[i + 1], ref_root.hi, m_max)
                 for i in range(threads)
                 if edges[i] < edges[i + 1]
             ]
             with mp.get_context("fork").Pool(len(args)) as pool:
                 results = pool.starmap(_scan_range, args)
         else:
-            results = [
-                _scan_range(n, start, stop, ref_root.hi, m_max, ref_s, ref_parts, progress)
-            ]
+            results = [_scan_range(n, start, stop, ref_root.hi, m_max, progress)]
         for res in results:
             report.violations.extend(res.pop("violations"))
             for key, val in res.items():
@@ -533,36 +556,26 @@ def pm_threshold_scan(
         report.extras["masks_scanned"] = stop - start
         report.extras["edge_cutoff"] = m_max
     elif variant == "large":
+        if trials < 1:
+            raise ParameterError(f"need trials >= 1, got {trials}")
         rng = random.Random(seed)
         params["trials"] = trials
         params["seed"] = seed
-        ref_hi_float = float(ref_root.hi)
         no_pm = 0
+        counts = dict.fromkeys(_FUNNEL_KEYS, 0)
         for _ in range(trials):
             g = random_connected_graph(rng, n)
             report.cases += 1
             if has_perfect_matching(g):
                 continue
             no_pm += 1
-            if Fraction(2 * wiener_index(g), n) > ref_root.hi:
-                continue
-            if matches_clique_join(g, ref_s, ref_parts):
-                continue
-            est = distance_spectral_radius(g, _SCAN_TOL)
-            if est.lo > ref_hi_float:
-                continue
-            report.violations.append(
-                _violation(
-                    "threshold-order",
-                    g,
-                    "no perfect matching yet radius not above the threshold",
-                    n=n,
-                    estimate=[est.lo, est.hi],
-                    reference_hi=ref_hi_float,
-                    tol=_SCAN_TOL,
-                )
+            violation = _check_threshold_order(
+                g, n, ref_hi=ref_root.hi, counts=counts, admitted=True
             )
+            if violation is not None:
+                report.violations.append(violation)
         report.extras["no_pm_sampled"] = no_pm
+        report.extras.update(counts)
     else:
         raise ParameterError(f"unknown variant {variant!r}")
 
@@ -636,11 +649,12 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> Graph | None:
 
 
 def check_probe_sample(
-    g: Graph, n: int, k: int, ref_root: CertifiedRoot, tol: float = 1e-8
+    g: Graph, n: int, k: int, ref_root: CertifiedRoot | None = None, tol: float = 1e-8
 ) -> dict | None:
-    """Predicate behind the probe suite: a valid sample must have radius
-    strictly above the threshold root, unless it is the threshold graph
-    itself. Returns a violation record or None."""
+    """Predicate behind the probe suite (check "probe-order"): a valid sample
+    must have radius strictly above the threshold root, unless it is the
+    threshold graph itself. Returns a violation record or None."""
+    ref_root = family_quartic_root(n, k) if ref_root is None else ref_root
     ref_hi_float = float(ref_root.hi)
     est = distance_spectral_radius(g, tol)
     if est.lo > ref_hi_float:
@@ -684,6 +698,8 @@ def probe_extremal_bound(
         raise ParameterError(
             f"n={n} below proven range 8k+6={8 * k + 6}; pass exploratory=True to probe anyway"
         )
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = SuiteReport(
@@ -716,10 +732,7 @@ def probe_extremal_bound(
         if not has_fractional_pm(g):
             rejected["fractional"] += 1
             continue
-        report.cases += 1
-        violation = check_probe_sample(g, n, k, ref_root, tol)
-        if violation is not None:
-            report.violations.append(violation)
+        _record(report, check_probe_sample(g, n, k, ref_root, tol))
     report.extras["attempts"] = attempts
     report.extras["rejected"] = rejected
     report.seconds = time.perf_counter() - t0
@@ -728,6 +741,18 @@ def probe_extremal_bound(
 
 # ---------------------------------------------------------------------------
 # lemma suites
+
+
+def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None, est_p=None) -> dict | None:
+    """g, the fractional threshold graph of order n, is strictly above the
+    plain threshold graph K_1 v (K_{n-3} u 2K_1)."""
+    est_f = distance_spectral_radius(g, tol) if est_f is None else est_f
+    if est_p is None:
+        est_p = distance_spectral_radius(barrier_family(FamilySpec(n, 1, (1, 1, n - 3))), tol)
+    if compare_estimates(est_f, est_p) is Ordering.GREATER:
+        return None
+    detail = f"fractional threshold not above plain threshold at n={n}"
+    return _violation("corollary-order", g, detail, n=n, tol=tol)
 
 
 def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
@@ -739,25 +764,46 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> S
     report = SuiteReport("corollary14", {"n_lo": n_lo, "n_hi": n_hi, "tol": tol})
     margins = {}
     for n in range(n_lo, n_hi + 1, 2):
-        report.cases += 1
         g_frac = extremal_family(n, 1)
-        g_plain = barrier_family(FamilySpec(n, 1, (1, 1, n - 3)))
         est_f = distance_spectral_radius(g_frac, tol)
-        est_p = distance_spectral_radius(g_plain, tol)
+        est_p = distance_spectral_radius(barrier_family(FamilySpec(n, 1, (1, 1, n - 3))), tol)
         margins[n] = est_f.lo - est_p.hi
-        if compare_estimates(est_f, est_p) is not Ordering.GREATER:
-            report.violations.append(
-                _violation(
-                    "corollary-order",
-                    g_frac,
-                    f"fractional threshold not above plain threshold at n={n}",
-                    n=n,
-                    tol=tol,
-                )
-            )
+        _record(report, _check_corollary_order(g_frac, n, tol, est_f, est_p))
     report.extras["margins"] = margins
     report.seconds = time.perf_counter() - t0
     return report
+
+
+def _check_wiener_bound(g: Graph, tol: float, est=None) -> dict | None:
+    est = distance_spectral_radius(g, tol) if est is None else est
+    if est.value >= float(mu_lower_bound_wiener(g)) - tol:
+        return None
+    return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n, tol=tol)
+
+
+def _check_edge_monotonicity(g: Graph, edge: list[int], tol: float, est_g=None) -> dict | None:
+    """Adding the missing edge uv strictly lowers the radius."""
+    u, v = edge
+    est_g = distance_spectral_radius(g, tol) if est_g is None else est_g
+    est_h = distance_spectral_radius(g.add_edge(u, v), tol)
+    if compare_estimates(est_g, est_h) is Ordering.GREATER:
+        return None
+    detail = f"adding edge ({u},{v}) did not strictly lower the radius"
+    return _violation("edge-monotonicity", g, detail, edge=[u, v], tol=tol)
+
+
+def _check_family_ordering(g: Graph, n: int, s: int, parts: list[int], tol: float) -> dict | None:
+    """g = K_s v (K_{n1} u ... u K_{nq}) is strictly above the same hub joined
+    to s singletons, q-s-1 triangles and one large clique."""
+    q = len(parts)
+    canon = FamilySpec(n, s, (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,))
+    order = compare_estimates(
+        distance_spectral_radius(g, tol), distance_spectral_radius(barrier_family(canon), tol)
+    )
+    if order is Ordering.GREATER:
+        return None
+    detail = f"expected strict ordering against canonical parts, got {order.value}"
+    return _violation("family-ordering", g, detail, n=n, s=s, parts=list(parts), tol=tol)
 
 
 def lemma_suites(
@@ -792,55 +838,19 @@ def lemma_suites(
         n = rng.randrange(order_range[0], order_range[1] + 1)
         g = random_connected_graph(rng, n)
         est_g = distance_spectral_radius(g, mono_tol)
-        report.cases += 1
-        if est_g.value < float(Fraction(2 * wiener_index(g), n)) - mono_tol:
-            report.violations.append(
-                _violation("wiener-bound", g, "radius estimate below 2W/n", n=n, tol=mono_tol)
-            )
+        _record(report, _check_wiener_bound(g, mono_tol, est_g))
         for u, v in itertools.combinations(range(n), 2):
             if g.has_edge(u, v):
                 continue
-            est_h = distance_spectral_radius(g.add_edge(u, v), mono_tol)
             edge_checks += 1
-            report.cases += 1
-            if compare_estimates(est_g, est_h) is not Ordering.GREATER:
-                report.violations.append(
-                    _violation(
-                        "edge-monotonicity",
-                        g,
-                        f"adding edge ({u},{v}) did not strictly lower the radius",
-                        edge=[u, v],
-                        tol=mono_tol,
-                    )
-                )
+            _record(report, _check_edge_monotonicity(g, [u, v], mono_tol, est_g))
     report.extras["edge_checks"] = edge_checks
 
     ordering_tol = 1e-8
     for _ in range(ordering_specs):
         spec = _random_ordering_spec(rng)
-        report.cases += 1
-        g1 = barrier_family(spec)
-        n, s, q = spec.n, spec.s, spec.q
-        canon = FamilySpec(
-            n, s, (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,)
-        )
-        g2 = barrier_family(canon)
-        order = compare_estimates(
-            distance_spectral_radius(g1, ordering_tol),
-            distance_spectral_radius(g2, ordering_tol),
-        )
-        if order is not Ordering.GREATER:
-            report.violations.append(
-                _violation(
-                    "family-ordering",
-                    g1,
-                    f"expected strict ordering against canonical parts, got {order.value}",
-                    n=n,
-                    s=s,
-                    parts=list(spec.parts),
-                    tol=ordering_tol,
-                )
-            )
+        g = barrier_family(spec)
+        _record(report, _check_family_ordering(g, spec.n, spec.s, list(spec.parts), ordering_tol))
 
     corollary = corollary_comparison(*corollary_span)
     report.cases += corollary.cases
@@ -948,11 +958,7 @@ def identity_suite(
         )
         # the expanded cubic falls as n grows past 8k+6: derivative negative
         # at the left end and concave in n
-        check(
-            "floor-decreasing",
-            -85 * k * k - 162 * k - 133 < 0,
-            k=k,
-        )
+        check("floor-decreasing", gap_bound_floor_deriv(8 * k + 6, k) < 0, k=k)
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -979,70 +985,38 @@ def enumerate_graphs(
         yield g
 
 
-def _replay_threshold(g: Graph, data: dict) -> bool:
-    _, _, ref_root = threshold_reference(data["n"])
-    ref_s, ref_parts = _reference_parts(data["n"])
-    if has_perfect_matching(g) or not is_connected(g):
-        return False
-    if matches_clique_join(g, ref_s, ref_parts):
-        return False
-    est = distance_spectral_radius(g, data["tol"])
-    return not est.lo > float(ref_root.hi)
-
-
-def _replay_probe(g: Graph, data: dict) -> bool:
-    ref_root = family_quartic_root(data["n"], data["k"])
-    return check_probe_sample(g, data["n"], data["k"], ref_root, data["tol"]) is not None
-
-
-def _replay_edge_monotonicity(g: Graph, data: dict) -> bool:
-    u, v = data["edge"]
-    est_g = distance_spectral_radius(g, data["tol"])
-    est_h = distance_spectral_radius(g.add_edge(u, v), data["tol"])
-    return compare_estimates(est_g, est_h) is not Ordering.GREATER
-
-
-def _replay_wiener(g: Graph, data: dict) -> bool:
-    est = distance_spectral_radius(g, data["tol"])
-    return est.value < float(Fraction(2 * wiener_index(g), g.n)) - data["tol"]
-
-
-def _replay_family_ordering(g: Graph, data: dict) -> bool:
-    spec = FamilySpec(data["n"], data["s"], tuple(data["parts"]))
-    q, s, n = spec.q, spec.s, spec.n
-    canon = FamilySpec(n, s, (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,))
-    order = compare_estimates(
-        distance_spectral_radius(g, data["tol"]),
-        distance_spectral_radius(barrier_family(canon), data["tol"]),
-    )
-    return order is not Ordering.GREATER
-
-
-def _replay_corollary(g: Graph, data: dict) -> bool:
-    n = data["n"]
-    est_f = distance_spectral_radius(g, data["tol"])
-    est_p = distance_spectral_radius(
-        barrier_family(FamilySpec(n, 1, (1, 1, n - 3))), data["tol"]
-    )
-    return compare_estimates(est_f, est_p) is not Ordering.GREATER
-
-
-_REPLAYERS = {
-    "threshold-order": _replay_threshold,
-    "probe-order": _replay_probe,
-    "edge-monotonicity": _replay_edge_monotonicity,
-    "wiener-bound": _replay_wiener,
-    "family-ordering": _replay_family_ordering,
-    "corollary-order": _replay_corollary,
+CHECKS: dict[str, Callable[..., dict | None]] = {
+    "exact-connectivity": _check_exact_connectivity,
+    "fractional-pm": _check_fractional_pm,
+    "tutte-certificate": _check_tutte_certificate,
+    "exhaustive-oracles": _check_exhaustive_oracles,
+    "quartic-agreement": _check_quartic_agreement,
+    "wiener-closed-form": _check_wiener_closed_form,
+    "radius-floor": _check_radius_floor,
+    "chain-equality": _check_chain_canonical,
+    "chain-canonical": _check_chain_canonical,
+    "chain-threshold": _check_chain_threshold,
+    "threshold-order": _check_threshold_order,
+    "probe-order": check_probe_sample,
+    "corollary-order": _check_corollary_order,
+    "wiener-bound": _check_wiener_bound,
+    "edge-monotonicity": _check_edge_monotonicity,
+    "family-ordering": _check_family_ordering,
 }
 
 
 def replay_violation(violation: dict) -> bool:
-    """Re-run the failed predicate on the recorded witness; True iff it still fails."""
-    check = violation["check"]
-    if check not in _REPLAYERS:
-        raise ParameterError(f"no replayer registered for check {check!r}")
+    """Re-run the recorded check on its witness; True iff it still fails.
+
+    The predicate gets the fields of `data` that it names as parameters;
+    values a suite passed in to avoid solving a graph twice are recomputed.
+    """
+    check = CHECKS.get(violation["check"])
+    if check is None:
+        raise ParameterError(f"no predicate registered for check {violation['check']!r}")
     if violation["witness"] is None:
         raise ParameterError("violation carries no witness graph")
     g = parse_graph6(violation["witness"])
-    return _REPLAYERS[check](g, violation["data"])
+    params = inspect.signature(check).parameters
+    args = {key: value for key, value in violation["data"].items() if key in params}
+    return check(g, **args) is not None

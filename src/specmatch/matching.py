@@ -429,7 +429,8 @@ def fractional_violator(g: Graph) -> int | None:
     # reached left vertices outside S are isolated in G-S; Koenig duality
     # guarantees strictly more of them than |S|
     violating = right_reached
-    assert isolated_count(g, violating) > violating.bit_count()
+    if isolated_count(g, violating) <= violating.bit_count():
+        raise RuntimeError("alternating-path set does not violate i(G-S) <= |S|")
     return violating
 
 
@@ -441,10 +442,3 @@ def has_fractional_pm_exhaustive(g: Graph) -> bool:
         if isolated_count(g, mask) > mask.bit_count():
             return False
     return True
-
-
-def parity_deficiency_ok(g: Graph, cert: TutteCertificate) -> bool:
-    """Even order forces o(G-S) = |S| (mod 2), so a violating S has surplus >= 2."""
-    if g.n % 2:
-        return cert.deficiency >= 1
-    return cert.deficiency >= 2 and (cert.odd_count - cert.size) % 2 == 0

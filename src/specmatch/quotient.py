@@ -45,18 +45,6 @@ def _as_blocks(partition: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return blocks
 
 
-def is_equitable(matrix: Sequence[Sequence[int]], partition: Sequence[Sequence[int]]) -> bool:
-    """Every vertex in block i must see the same row sum into each block j."""
-    n = len(matrix)
-    blocks = _as_blocks(partition, n)
-    for cells in blocks:
-        for other in blocks:
-            sums = {sum(matrix[v][u] for u in other) for v in cells}
-            if len(sums) > 1:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class QuotientMatrix:
     """Block-averaged matrix of an equitable partition; entries are exact Fractions."""
@@ -210,6 +198,8 @@ def largest_root(
     hi = Fraction(hi)
     if lo > hi:
         raise ParameterError(f"empty bracket [{lo}, {hi}]")
+    if width <= 0:
+        raise ParameterError(f"root width must be positive, got {width}")
     if poly.degree < 1:
         raise ParameterError("constant polynomial has no roots")
     f_hi = poly(hi)

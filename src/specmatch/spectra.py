@@ -66,11 +66,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return dist
 
 
-def transmissions(g: Graph) -> list[int]:
-    """Row sums of the distance matrix: sum of distances from each vertex."""
-    return [int(r) for r in distance_matrix(g).sum(axis=1)]
-
-
 def wiener_index(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs."""
     return int(distance_matrix(g).sum()) // 2
@@ -154,15 +149,3 @@ def compare_estimates(a: SpectralEstimate, b: SpectralEstimate) -> Ordering:
     if a.hi < b.lo:
         return Ordering.LESS
     return Ordering.INDETERMINATE
-
-
-def compare_mu(g: Graph, h: Graph, tol: float = 1e-9) -> Ordering:
-    """Order mu(G) vs mu(H) by certified brackets at the given refinement tolerance.
-
-    INDETERMINATE never backs a strict claim: equal graphs stay indeterminate
-    at any tolerance, and genuinely distinct radii separate once tol is small
-    enough relative to their gap.
-    """
-    return compare_estimates(
-        distance_spectral_radius(g, tol), distance_spectral_radius(h, tol)
-    )

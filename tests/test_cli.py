@@ -189,6 +189,12 @@ def test_quotient_human_output(capsys):
     assert code == 2
 
 
+def test_quotient_rejects_nonpositive_width(capsys):
+    code, _, err = run(capsys, "quotient", "--n", "14", "--s", "1", "--tol", "-1")
+    assert code == 2
+    assert "width" in err
+
+
 def test_verify_theorem13_family(capsys):
     code, out, _ = run(capsys, "verify", "theorem13-family", "--n", "14", "--k", "1")
     assert code == 0
@@ -268,6 +274,15 @@ def test_verify_probe13_json_deterministic(capsys):
     first["result"].pop("seconds")
     second["result"].pop("seconds")
     assert first == second
+
+
+def test_verify_rejects_empty_suites(capsys):
+    code, _, err = run(capsys, "verify", "probe13", "--n", "14", "--k", "1", "--trials", "0")
+    assert code == 2 and "trials" in err
+    code, _, err = run(
+        capsys, "verify", "theorem11", "--n", "10", "--variant", "large", "--trials", "-5"
+    )
+    assert code == 2 and "trials" in err
 
 
 def test_verify_corollary14(capsys):

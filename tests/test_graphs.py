@@ -19,7 +19,6 @@ from specmatch import (
     extremal_partition,
     family_partition,
     is_connected,
-    is_isomorphic,
     is_k_connected,
     isolated_count,
     join,
@@ -237,33 +236,6 @@ def test_structural_family_match():
     assert not matches_clique_join(h, 1, (1, 3, 9))
     with pytest.raises(ParameterError):
         matches_clique_join(g, 1, (13,))
-
-
-def test_isomorphism_small():
-    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert is_isomorphic(c5, p5) is False
-    relabeled = Graph(5, [(2, 4), (4, 0), (0, 3), (3, 1), (1, 2)])
-    assert is_isomorphic(c5, relabeled) is True
-    assert is_isomorphic(complete_graph(4), complete_graph(4)) is True
-    assert is_isomorphic(complete_graph(4), empty_graph(4)) is False
-    assert is_isomorphic(c5, complete_graph(4)) is False
-
-
-def test_isomorphism_random_relabelings():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randrange(2, 11)
-        g = _random_graph(rng, n, rng.uniform(0.2, 0.8))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert is_isomorphic(g, h) is True
-
-
-def test_isomorphism_indeterminate_above_cap():
-    g = complete_graph(13)
-    assert is_isomorphic(g, g) is None
 
 
 def test_graph6_known_values():

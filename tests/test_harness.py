@@ -19,6 +19,7 @@ from specmatch import (
     is_connected,
     join,
     lemma_suites,
+    parse_graph6,
     pm_threshold_scan,
     probe_extremal_bound,
     random_connected_graph,
@@ -28,7 +29,7 @@ from specmatch import (
     verify_ordering_chain,
     write_graph6,
 )
-from specmatch.harness import check_probe_sample
+from specmatch.harness import CHECKS, check_probe_sample
 from specmatch.quotient import family_quartic_root
 
 
@@ -206,6 +207,15 @@ def test_probe_validation():
         probe_extremal_bound(14, 0, trials=5)
 
 
+def test_suites_reject_empty_trials():
+    # a verifier must not pass with nothing checked
+    for trials in (0, -5):
+        with pytest.raises(ParameterError, match="trials"):
+            probe_extremal_bound(14, 1, trials=trials)
+        with pytest.raises(ParameterError, match="trials"):
+            pm_threshold_scan(10, variant="large", trials=trials)
+
+
 def test_probe_exploratory_finds_genuine_violations():
     # below the proven range the bound actually fails; the recorded witnesses
     # must replay as real violations, not artifacts of loose tolerances
@@ -271,6 +281,128 @@ def test_replayers_return_false_on_healthy_witnesses():
     ]
     for record in records:
         assert replay_violation(record) is False, record["check"]
+
+
+_FRAC14 = extremal_family(14, 1)  # also the canonical shape for n=14, s=1
+_ABOVE14 = barrier_family(FamilySpec(14, 1, (1, 5, 7)))
+_PLAIN14 = barrier_family(FamilySpec(14, 1, (1, 1, 11)))
+_P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+# check -> (witness, data) of a record that must not replay as a violation
+HEALTHY = {
+    "exact-connectivity": (_FRAC14, {"k": 1}),
+    "fractional-pm": (_FRAC14, {}),
+    "tutte-certificate": (_FRAC14, {"k": 1}),
+    "exhaustive-oracles": (_FRAC14, {}),
+    "quartic-agreement": (_FRAC14, {"k": 1, "tol": 1e-8}),
+    "wiener-closed-form": (_FRAC14, {"k": 1}),
+    "radius-floor": (_FRAC14, {"k": 1}),
+    "chain-equality": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 3, 9], "tol": 1e-8}),
+    "chain-canonical": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+    "chain-threshold": (
+        barrier_family(FamilySpec(22, 2, (1, 1, 3, 15))),
+        {"n": 22, "s": 2, "k": 1, "tol": 1e-8},
+    ),
+    # K_6 has a perfect matching, so it lies outside the theorem's hypotheses
+    "threshold-order": (complete_graph(6), {"n": 6, "tol": 1e-9}),
+    "probe-order": (_FRAC14, {"n": 14, "k": 1, "tol": 1e-8}),
+    "corollary-order": (_FRAC14, {"n": 14, "tol": 1e-8}),
+    "wiener-bound": (complete_graph(5), {"tol": 1e-9}),
+    "edge-monotonicity": (_P4, {"edge": [0, 2], "tol": 1e-9}),
+    "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+}
+
+# check -> (witness, data) that fails: a wrong witness, or a degenerate record
+# that compares a graph against itself
+FAILING = {
+    "exact-connectivity": (complete_graph(14), {"k": 1}),
+    "fractional-pm": (join(complete_graph(1), empty_graph(3)), {}),
+    "tutte-certificate": (complete_graph(4), {"k": 1}),
+    "exhaustive-oracles": (complete_graph(4), {}),
+    "quartic-agreement": (complete_graph(14), {"k": 1, "tol": 1e-8}),
+    "wiener-closed-form": (complete_graph(14), {"k": 1}),
+    "radius-floor": (complete_graph(14), {"k": 1}),
+    # the equality case claimed for a graph that is not the canonical shape
+    "chain-equality": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 3, 9], "tol": 1e-8}),
+    "chain-canonical": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+    "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1, "tol": 1e-8}),
+    # the order-4 threshold graph held against the order-6 threshold
+    "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6, "tol": 1e-9}),
+    "probe-order": (complete_graph(14), {"n": 14, "k": 1, "tol": 1e-8}),
+    "corollary-order": (_PLAIN14, {"n": 14, "tol": 1e-8}),
+    # the edge is already present, so "adding" it leaves the graph unchanged
+    "edge-monotonicity": (_P4, {"edge": [0, 1], "tol": 1e-9}),
+    "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+}
+
+CANNOT_FAIL = {
+    "wiener-bound": "distance_spectral_radius clamps `value` into a bracket whose floor is 2W/n",
+}
+
+
+def test_check_table_covers_every_witness_check():
+    assert len(CHECKS) == 16
+    assert set(HEALTHY) == set(CHECKS)
+    assert set(FAILING) | set(CANNOT_FAIL) == set(CHECKS)
+    assert not set(FAILING) & set(CANNOT_FAIL)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_check_table_replays(check):
+    g, data = HEALTHY[check]
+    assert CHECKS[check](g, **data) is None
+    record = {"check": check, "witness": write_graph6(g), "detail": "", "data": data}
+    assert replay_violation(record) is False
+    if check in CANNOT_FAIL:
+        return
+    g, data = FAILING[check]
+    violation = CHECKS[check](g, **data)
+    assert violation["check"] == check
+    assert parse_graph6(violation["witness"]) == g
+    assert replay_violation(violation) is True
+
+
+def _small_lemmas():
+    return lemma_suites(
+        seed=0, monotonicity_graphs=2, ordering_specs=2, corollary_span=(14, 14),
+        order_range=(5, 6),
+    )
+
+
+# suite runs that decide each check, through the predicate registered for it
+SUITE_RUNS = {
+    "exact-connectivity": lambda: [verify_extremal_family(14, 1)],
+    "fractional-pm": lambda: [verify_extremal_family(14, 1)],
+    "tutte-certificate": lambda: [verify_extremal_family(14, 1)],
+    "exhaustive-oracles": lambda: [verify_extremal_family(14, 1, include_exhaustive_oracles=True)],
+    "quartic-agreement": lambda: [verify_extremal_family(14, 1)],
+    "wiener-closed-form": lambda: [verify_extremal_family(14, 1)],
+    "radius-floor": lambda: [verify_extremal_family(14, 1)],
+    "chain-equality": lambda: [verify_ordering_chain(FamilySpec(14, 1, (1, 3, 9)), k=1)],
+    "chain-canonical": lambda: [verify_ordering_chain(FamilySpec(18, 2, (3, 3, 3, 7)), k=2)],
+    "chain-threshold": lambda: [verify_ordering_chain(FamilySpec(22, 2, (1, 1, 3, 15)), k=1)],
+    "threshold-order": lambda: [
+        pm_threshold_scan(4),
+        pm_threshold_scan(10, variant="large", trials=200, seed=1),
+    ],
+    "probe-order": lambda: [probe_extremal_bound(14, 1, trials=3)],
+    "corollary-order": lambda: [corollary_comparison(14, 14), _small_lemmas()],
+    "wiener-bound": lambda: [_small_lemmas()],
+    "edge-monotonicity": lambda: [_small_lemmas()],
+    "family-ordering": lambda: [_small_lemmas()],
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_suites_decide_through_the_check_table(check, monkeypatch):
+    import specmatch.harness as harness
+
+    def always_fails(g, *args, **kwargs):
+        return {"check": check, "witness": write_graph6(g), "detail": "stub", "data": {}}
+
+    monkeypatch.setattr(harness, CHECKS[check].__name__, always_fails)
+    for report in SUITE_RUNS[check]():
+        assert any(v["detail"] == "stub" for v in report.violations), report.suite
 
 
 def test_lemma_suites_small_run():

@@ -25,7 +25,6 @@ from specmatch import (
     max_matching,
     max_matching_size_bruteforce,
     odd_components,
-    parity_deficiency_ok,
     tutte_certificate,
     tutte_deficiency_bruteforce,
 )
@@ -123,7 +122,8 @@ def test_tutte_certificate_on_extremal_families():
         assert cert.odd_count == k + 2
         assert cert.deficiency == 2
         assert cert.holds_for(g)
-        assert parity_deficiency_ok(g, cert)
+        # even order: o(G-S) and |S| share parity, so the surplus is even
+        assert cert.deficiency >= 2 and cert.deficiency % 2 == 0
 
 
 def test_tutte_certificate_exhaustive_is_minimal():
@@ -136,7 +136,8 @@ def test_tutte_certificate_exhaustive_is_minimal():
             assert cert is None
             continue
         assert cert.holds_for(g)
-        assert parity_deficiency_ok(g, cert)
+        # even order: o(G-S) and |S| share parity, so the surplus is even
+        assert cert.deficiency >= 2 and cert.deficiency % 2 == 0
         # no strictly smaller violating set exists
         for mask in range(1 << n):
             if mask.bit_count() < cert.size:
@@ -228,6 +229,17 @@ def test_witness_rejects_wrong_graph():
     assert not witness.holds_for(_cycle(4).add_edge(0, 2).add_edge(1, 3))
     bad = FractionalWitness((((0, 1), Fraction(2)),))
     assert not bad.holds_for(complete_graph(2))
+
+
+def test_fractional_violator_checks_duality(monkeypatch):
+    # the returned set must isolate more than |S| vertices; the check is
+    # explicit, so it also runs under python -O
+    import specmatch.matching
+
+    star = join(complete_graph(1), empty_graph(4))
+    monkeypatch.setattr(specmatch.matching, "isolated_count", lambda g, mask: 0)
+    with pytest.raises(RuntimeError):
+        fractional_violator(star)
 
 
 def test_empty_graph_edge_cases():

@@ -21,7 +21,6 @@ from specmatch import (
     gap_bound_cubic_deriv,
     gap_bound_floor_deriv,
     hub_gap_coefficient,
-    is_equitable,
     largest_root,
     mu_lower_bound_wiener,
     quotient_matrix,
@@ -60,23 +59,23 @@ def _char_poly_oracle_value(entries, x):
 
 def test_equitable_recognition():
     dist = distance_matrix(extremal_family(14, 1)).tolist()
-    assert is_equitable(dist, extremal_partition(14, 1))
-    # splitting the big clique unevenly breaks equitability on the hub row? no,
-    # but moving a singleton in with the triangle does
+    assert quotient_matrix(dist, extremal_partition(14, 1)).t == 4
+    # moving a singleton in with the triangle breaks equitability
     bad = [[0], [1, 2], [3, 4], list(range(5, 14))]
-    assert not is_equitable(dist, bad)
+    with pytest.raises(ParameterError, match="not equitable"):
+        quotient_matrix(dist, bad)
 
 
 def test_partition_validation():
     dist = distance_matrix(complete_graph(4)).tolist()
     with pytest.raises(ParameterError):
-        is_equitable(dist, [[0, 1], [2]])  # misses vertex 3
+        quotient_matrix(dist, [[0, 1], [2]])  # misses vertex 3
     with pytest.raises(ParameterError):
-        is_equitable(dist, [[0, 1], [1, 2, 3]])  # duplicate
+        quotient_matrix(dist, [[0, 1], [1, 2, 3]])  # duplicate
     with pytest.raises(ParameterError):
-        is_equitable(dist, [[0, 1], [], [2, 3]])  # empty block
+        quotient_matrix(dist, [[0, 1], [], [2, 3]])  # empty block
     with pytest.raises(ParameterError):
-        is_equitable(dist, [[0, 1], [2, 5]])  # out of range
+        quotient_matrix(dist, [[0, 1], [2, 5]])  # out of range
 
 
 def test_quotient_rows_for_reference_family():
@@ -187,6 +186,16 @@ def test_largest_root_bracket_errors():
         largest_root(p, 3, 1)
     with pytest.raises(ParameterError):
         largest_root(ExactPolynomial((5,)), 0, 1)
+
+
+def test_largest_root_rejects_nonpositive_width():
+    # exact bisection to a width <= 0 would never terminate
+    p = ExactPolynomial((1, 0, -2))
+    for width in (0, Fraction(-1)):
+        with pytest.raises(ParameterError, match="width"):
+            largest_root(p, 0, 2, width=width)
+    with pytest.raises(ParameterError):
+        family_quartic_root(14, 1, width=Fraction(-1, 10))
 
 
 def test_family_quartic_root_reference_value():
