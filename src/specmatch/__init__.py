@@ -35,7 +35,6 @@ from .graphs import (
     write_graph6,
 )
 from .matching import (
-    UNKNOWN,
     FractionalWitness,
     Matching,
     TutteCertificate,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -19,13 +20,14 @@ from .graphs import (
     extremal_family,
     extremal_partition,
     family_partition,
+    isolated_count,
     parse_edge_list,
     parse_graph6,
+    vertices_from_mask,
     write_edge_list,
     write_graph6,
 )
 from .matching import (
-    UNKNOWN,
     fractional_pm_witness,
     fractional_violator,
     max_matching,
@@ -195,14 +197,11 @@ def _cmd_matching(args) -> int:
     }
     if not perfect:
         cert = tutte_certificate(g)
-        if cert is UNKNOWN:
-            result["certificate"] = "unknown"
-        elif cert is not None:
-            result["certificate"] = {
-                "vertices": cert.vertices(),
-                "odd_components": cert.odd_count,
-                "deficiency": cert.deficiency,
-            }
+        result["certificate"] = {
+            "vertices": cert.vertices(),
+            "odd_components": cert.odd_count,
+            "deficiency": cert.deficiency,
+        }
     if args.json:
         _emit_json("matching", {}, result)
     else:
@@ -210,9 +209,7 @@ def _cmd_matching(args) -> int:
         print(f"matching number: {len(matching)}")
         print(f"perfect matching: {'yes' if perfect else 'no'}")
         cert = result.get("certificate")
-        if cert == "unknown":
-            print("certificate: unknown (heuristics exhausted)")
-        elif isinstance(cert, dict):
+        if cert is not None:
             print(
                 f"certificate: S={cert['vertices']} leaves {cert['odd_components']} "
                 f"odd components (deficiency {cert['deficiency']})"
@@ -228,8 +225,6 @@ def _cmd_fractional(args) -> int:
         result["weights"] = {f"{u}-{v}": str(w) for (u, v), w in witness.weights}
     else:
         violator = fractional_violator(g)
-        from .graphs import isolated_count, vertices_from_mask
-
         result["violating_set"] = vertices_from_mask(violator)
         result["isolated"] = isolated_count(g, violator)
     if args.json:
@@ -255,7 +250,9 @@ def _cmd_quotient(args) -> int:
     q = quotient_matrix(distance_matrix(g).tolist(), partition)
     poly = family_quartic(args.n, args.s)
     computed = char_poly(q)
-    width = Fraction(args.tol).limit_denominator(10**15) if args.tol else Fraction(1, 10**10)
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise ParameterError(f"--tol must be finite, got {args.tol}")
+    width = Fraction(1, 10**10) if args.tol is None else Fraction(args.tol).limit_denominator(10**15)
     root = family_quartic_root(args.n, args.s, width=width)
     agree = computed.coefficients == poly.coefficients
     result = {
@@ -447,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        return 0
     except (
         ParameterError,
         Graph6Error,
@@ -454,14 +453,11 @@ def main(argv: list[str] | None = None) -> int:
         BracketError,
         DisconnectedError,
         ConvergenceError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from .graphs import (
     write_graph6,
 )
 from .matching import (
-    UNKNOWN,
     has_fractional_pm,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
@@ -187,11 +186,11 @@ def _check_fractional_pm(g: Graph) -> dict | None:
 
 
 def _check_tutte_certificate(g: Graph, k: int, cert=None) -> dict | None:
-    """The k-vertex hub is the minimal Tutte set, leaving k+2 odd components."""
+    """The k-vertex hub is the Gallai-Edmonds Tutte set, leaving k+2 odd components."""
     # None is also the answer for a graph with a perfect matching: searching
     # again then only repeats a check that fails either way
     cert = tutte_certificate(g) if cert is None else cert
-    if cert is None or cert is UNKNOWN:
+    if cert is None:
         detail = f"expected certificate, got {cert}"
     elif cert.vertex_mask != (1 << k) - 1 or cert.odd_count != k + 2:
         detail = (
@@ -257,7 +256,7 @@ def verify_extremal_family(
     _record(report, _check_exact_connectivity(g, k))
     _record(report, _check_fractional_pm(g))
     cert = tutte_certificate(g)
-    if cert is not None and cert is not UNKNOWN:
+    if cert is not None:
         report.extras["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,

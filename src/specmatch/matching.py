@@ -2,7 +2,9 @@
 
 Maximum matchings come from Edmonds' blossom algorithm. A graph with no
 perfect matching is explained by a Tutte certificate: a vertex set S with
-o(G-S) > |S| (for even order, o(G-S) >= |S|+2 by parity). Fractional perfect
+o(G-S) > |S| (for even order, o(G-S) >= |S|+2 by parity). The same blossom
+search yields it as the Gallai-Edmonds set, whose deficiency o(G-S) - |S|
+equals n - 2*nu, so it is Tutte-Berge tight. Fractional perfect
 matchings are decided on the bipartite double cover and certified either by a
 half-integral weighting or by a set S with more than |S| isolated vertices in
 G-S. Exponential brute-force oracles back all of it at small order.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -20,7 +21,6 @@ from .graphs import (
     _iter_bits,
     isolated_count,
     odd_components,
-    universal_mask,
     vertices_from_mask,
 )
 
@@ -54,7 +54,7 @@ class Matching:
 
 @dataclass(frozen=True)
 class TutteCertificate:
-    """Vertex set S (as a mask) with o(G-S) >= |S| + 2; proof that no perfect matching exists."""
+    """Vertex set S (as a mask) with o(G-S) > |S|; proof that no perfect matching exists."""
 
     vertex_mask: int
     odd_count: int
@@ -72,19 +72,6 @@ class TutteCertificate:
 
     def holds_for(self, g: Graph) -> bool:
         return odd_components(g, self.vertex_mask) == self.odd_count and self.deficiency >= 1
-
-
-class _Unknown:
-    """Sentinel: the search was inconclusive (too large for exhaustion, heuristics failed)."""
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNKNOWN = _Unknown()
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +97,9 @@ def max_matching(g: Graph) -> Matching:
     return Matching(edges)
 
 
-def _augment_from(g: Graph, match: list[int], root: int) -> bool:
+def _augment_from(g: Graph, match: list[int], root: int) -> list[int] | None:
+    """Augment `match` along a path from the exposed `root` and return None, or
+    return the outer vertices of the search tree when no augmenting path exists."""
     n = g.n
     parent = [-1] * n
     base = list(range(n))
@@ -169,12 +158,12 @@ def _augment_from(g: Graph, match: list[int], root: int) -> bool:
                         match[u] = pv
                         match[pv] = u
                         u = nxt
-                    return True
+                    return None
                 w = match[u]
                 if not in_tree[w]:
                     in_tree[w] = True
                     queue.append(w)
-    return False
+    return queue
 
 
 def matching_number(g: Graph) -> int:
@@ -259,63 +248,38 @@ def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
 # Tutte certificates
 
 
-def _gosper_masks(n: int, size: int) -> Iterator[int]:
-    # all n-bit masks of the given popcount, in increasing numeric order
-    if size == 0:
-        yield 0
-        return
-    mask = (1 << size) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
-
-
-_EXHAUSTIVE_CAP = 16
-_HEURISTIC_SIZE_CAP = 3
-
-
-def tutte_certificate(g: Graph, exhaustive_limit: int = _EXHAUSTIVE_CAP):
+def tutte_certificate(g: Graph) -> TutteCertificate | None:
     """Certificate that G has no perfect matching, or None if one exists.
 
-    For n <= exhaustive_limit the subsets are scanned by (size, mask), so the
-    returned certificate is the smallest violating set, numerically first
-    among those. Above the limit a bounded heuristic runs (subsets of size
-    <= 3, closed neighborhoods, the universal-vertex hub); if it finds
-    nothing, UNKNOWN is returned rather than an unsupported claim.
+    The blossom search is rerun from every vertex that a maximum matching
+    leaves exposed. None of these searches can augment, so each returns the
+    vertices joined to its root by an even alternating path; their union is
+    D, and A = N(D) \\ D is the Gallai-Edmonds set, a Tutte set of maximum
+    deficiency n - 2*nu (Lovasz & Plummer, Matching Theory, 1986, ch. 3).
+    The deficiency is checked against the number of exposed vertices, which
+    by Tutte-Berge also proves the matching maximum.
     """
-    if has_perfect_matching(g):
+    match = [-1] * g.n
+    for u, v in max_matching(g).edges:
+        match[u] = v
+        match[v] = u
+    exposed = [v for v in range(g.n) if match[v] == -1]
+    if not exposed:
         return None
-    if g.n <= exhaustive_limit:
-        for size in range(g.n + 1):
-            for mask in _gosper_masks(g.n, size):
-                odd = odd_components(g, mask)
-                if odd > size:
-                    return TutteCertificate(mask, odd)
-        raise AssertionError("no perfect matching yet no violating set")
-    candidates: list[int] = [0]
-    candidates.extend(1 << v for v in range(g.n))
-    if g.n <= 24:
-        for size in range(2, _HEURISTIC_SIZE_CAP + 1):
-            candidates.extend(_gosper_masks(g.n, size))
-    for v in range(g.n):
-        candidates.append(g.rows[v])
-        candidates.append(g.rows[v] | 1 << v)
-    hub = universal_mask(g)
-    if hub:
-        candidates.append(hub)
-    candidates.sort(key=lambda m: (m.bit_count(), m))
-    seen: set[int] = set()
-    for mask in candidates:
-        if mask in seen:
-            continue
-        seen.add(mask)
-        odd = odd_components(g, mask)
-        if odd > mask.bit_count():
-            return TutteCertificate(mask, odd)
-    return UNKNOWN
+    even = 0
+    reached = 0
+    for root in exposed:
+        outer = _augment_from(g, match, root)
+        if outer is None:
+            raise RuntimeError("blossom search augmented a maximum matching")
+        for v in outer:
+            even |= 1 << v
+            reached |= g.rows[v]
+    tutte_set = reached & ~even
+    cert = TutteCertificate(tutte_set, odd_components(g, tutte_set))
+    if cert.deficiency != len(exposed):
+        raise RuntimeError("Gallai-Edmonds set is not Tutte-Berge tight")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ def distance_spectral_radius(
     """
     if g.n < 2:
         raise ParameterError(f"spectral radius needs n >= 2, got n={g.n}")
-    if tol < MIN_TOL:
-        raise ParameterError(f"tolerance below supported floor {MIN_TOL:g}")
+    if not tol >= MIN_TOL:
+        raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
     dist = distance_matrix(g).astype(np.float64)
     # 2W/n is exact here: distances are small ints, the sum is exact in binary
     wiener_floor = float(Fraction(int(dist.sum()), g.n))

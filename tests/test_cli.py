@@ -113,7 +113,7 @@ def test_spectra_from_stdin(monkeypatch, capsys):
     assert "order: 3" in out
 
 
-def test_spectra_error_paths(capsys):
+def test_spectra_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "spectra", "--g6", "B\x01")
     assert code == 2 and "error:" in err
     # disconnected input has no finite distance matrix
@@ -121,6 +121,12 @@ def test_spectra_error_paths(capsys):
     assert code == 2 and "error:" in err
     code, _, _ = run(capsys, "spectra", "--edges", "/nonexistent/path.txt")
     assert code == 2
+    code, _, err = run(capsys, "spectra", "--edges", str(tmp_path))
+    assert code == 2 and "error:" in err
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n\xff 2\n")
+    code, _, err = run(capsys, "spectra", "--edges", str(path))
+    assert code == 2 and "error:" in err
 
 
 def test_matching_with_certificate(capsys):
@@ -128,7 +134,8 @@ def test_matching_with_certificate(capsys):
     assert code == 0
     assert "matching number: 1" in out
     assert "perfect matching: no" in out
-    assert "S=[] leaves 1 odd components (deficiency 1)" in out
+    # the centre leaves 4 odd components: deficiency 3 = 5 - 2*1
+    assert "S=[4] leaves 4 odd components (deficiency 3)" in out
 
 
 def test_matching_json_perfect(capsys):
@@ -193,6 +200,13 @@ def test_quotient_rejects_nonpositive_width(capsys):
     code, _, err = run(capsys, "quotient", "--n", "14", "--s", "1", "--tol", "-1")
     assert code == 2
     assert "width" in err
+    code, _, err = run(capsys, "quotient", "--n", "14", "--s", "1", "--tol", "0")
+    assert code == 2
+    assert "width" in err
+    for value in ("nan", "inf"):
+        code, _, err = run(capsys, "quotient", "--n", "14", "--s", "1", "--tol", value)
+        assert code == 2
+        assert "finite" in err
 
 
 def test_verify_theorem13_family(capsys):

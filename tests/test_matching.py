@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from specmatch import (
-    UNKNOWN,
     FractionalWitness,
     Graph,
     ParameterError,
@@ -103,11 +102,6 @@ def test_bruteforce_caps():
         has_fractional_pm_exhaustive(empty_graph(17))
 
 
-def test_unknown_sentinel_is_falsy():
-    assert not UNKNOWN
-    assert repr(UNKNOWN) == "UNKNOWN"
-
-
 def test_tutte_certificate_none_when_pm_exists():
     assert tutte_certificate(complete_graph(6)) is None
     assert tutte_certificate(_cycle(8)) is None
@@ -126,22 +120,30 @@ def test_tutte_certificate_on_extremal_families():
         assert cert.deficiency >= 2 and cert.deficiency % 2 == 0
 
 
-def test_tutte_certificate_exhaustive_is_minimal():
+def test_tutte_certificate_is_tutte_berge_tight():
+    # the Gallai-Edmonds set attains the maximum deficiency over all subsets,
+    # which Tutte-Berge equates with n - 2*nu; odd orders included
     rng = random.Random(41)
-    for _ in range(200):
-        n = rng.choice([4, 6, 8, 10])
+    for _ in range(300):
+        n = rng.randrange(1, 13)
         g = _random_graph(rng, n, rng.uniform(0.1, 0.7))
         cert = tutte_certificate(g)
         if has_pm_bruteforce(g):
             assert cert is None
             continue
         assert cert.holds_for(g)
-        # even order: o(G-S) and |S| share parity, so the surplus is even
-        assert cert.deficiency >= 2 and cert.deficiency % 2 == 0
-        # no strictly smaller violating set exists
-        for mask in range(1 << n):
-            if mask.bit_count() < cert.size:
-                assert odd_components(g, mask) <= mask.bit_count()
+        assert cert.deficiency == tutte_deficiency_bruteforce(g)[0] == g.n - 2 * matching_number(g)
+
+
+def test_tutte_certificate_checks_tutte_berge(monkeypatch):
+    # the deficiency must equal the number of exposed vertices; the check is
+    # explicit, so it also runs under python -O
+    import specmatch.matching
+
+    star = join(complete_graph(1), empty_graph(4))
+    monkeypatch.setattr(specmatch.matching, "odd_components", lambda g, mask: 0)
+    with pytest.raises(RuntimeError):
+        tutte_certificate(star)
 
 
 def test_tutte_deficiency_matches_berge():
@@ -154,13 +156,12 @@ def test_tutte_deficiency_matches_berge():
         assert odd_components(g, mask) - mask.bit_count() == deficiency
 
 
-def test_tutte_certificate_heuristic_above_cap():
+def test_tutte_certificate_above_oracle_cap():
     g = extremal_family(30, 3)
-    cert = tutte_certificate(g, exhaustive_limit=16)
-    assert cert is not UNKNOWN
+    cert = tutte_certificate(g)
     assert cert.vertex_mask == 0b111
     assert cert.holds_for(g)
-    # heuristic also covers a plain odd-order-style obstruction: K1 u K29
+    # a plain odd-order-style obstruction: K1 u K29
     h = Graph(30, [(u, v) for u in range(1, 30) for v in range(u + 1, 30)])
     cert = tutte_certificate(h)
     assert cert.vertex_mask == 0

@@ -127,6 +127,8 @@ def test_parameter_validation():
         distance_spectral_radius(complete_graph(1))
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=1e-13)
+    with pytest.raises(ParameterError):
+        distance_spectral_radius(complete_graph(4), tol=float("nan"))
 
 
 def test_convergence_error_carries_bracket():
