@@ -28,6 +28,7 @@ from .graphs import (
     write_graph6,
 )
 from .matching import (
+    _cover_matching,
     fractional_pm_witness,
     fractional_violator,
     max_matching,
@@ -196,7 +197,7 @@ def _cmd_matching(args) -> int:
         "matching": sorted(matching.edges),
     }
     if not perfect:
-        cert = tutte_certificate(g)
+        cert = tutte_certificate(g, matching)
         result["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,
@@ -219,12 +220,13 @@ def _cmd_matching(args) -> int:
 
 def _cmd_fractional(args) -> int:
     g = _load_graph(args)
-    witness = fractional_pm_witness(g)
+    cover = _cover_matching(g)
+    witness = fractional_pm_witness(g, cover)
     result: dict = {"order": g.n, "fractional_perfect_matching": witness is not None}
     if witness is not None:
         result["weights"] = {f"{u}-{v}": str(w) for (u, v), w in witness.weights}
     else:
-        violator = fractional_violator(g)
+        violator = fractional_violator(g, cover)
         result["violating_set"] = vertices_from_mask(violator)
         result["isolated"] = isolated_count(g, violator)
     if args.json:
@@ -252,7 +254,7 @@ def _cmd_quotient(args) -> int:
     computed = char_poly(q)
     if args.tol is not None and not math.isfinite(args.tol):
         raise ParameterError(f"--tol must be finite, got {args.tol}")
-    width = Fraction(1, 10**10) if args.tol is None else Fraction(args.tol).limit_denominator(10**15)
+    width = Fraction(1, 10**10) if args.tol is None else Fraction(args.tol)
     root = family_quartic_root(args.n, args.s, width=width)
     agree = computed.coefficients == poly.coefficients
     result = {

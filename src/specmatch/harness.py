@@ -10,6 +10,7 @@ replay_violation calls the same predicate on a recorded witness.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import random
@@ -368,26 +369,6 @@ def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteR
 # exhaustive / sampled threshold scan
 
 
-def _perfect_matching_masks(n: int, pair_bit: dict[tuple[int, int], int]) -> list[int]:
-    masks: list[int] = []
-    full = (1 << n) - 1
-
-    def rec(avail: int, acc: int):
-        if not avail:
-            masks.append(acc)
-            return
-        v = (avail & -avail).bit_length() - 1
-        rest = avail ^ (1 << v)
-        m = rest
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            rec(rest ^ low, acc | 1 << pair_bit[(v, u)])
-            m ^= low
-    rec(full, 0)
-    return masks
-
-
 def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     rows = [0] * n
     while mask:
@@ -433,6 +414,86 @@ def _check_threshold_order(
     )
 
 
+@functools.cache
+def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Tables that decide connectivity, perfect matching and edge count for
+    every edge mask on n <= 8 vertices by two lookups each.
+
+    A mask splits into its low 2n-3 bits, the pairs that touch {0, 1} in
+    combinations order ((0,1), then (0,j), then (1,j)), and its high bits,
+    the graph H induced on the inner vertices {2..n-1}. Let A and B be the
+    inner neighbourhoods of 0 and 1.
+    - G is connected iff A u B meets every component of H, and 01 is an
+      edge or some component meets both A and B.
+    - G has a perfect matching iff 0 and 1 are matched to a partner set X
+      and H - X has one: X is empty when 01 is an edge, and X = {u, w} for
+      distinct inner u in A, w in B.
+    Returns, indexed by the high bits `hi` and the low bits `lo`:
+    partition[hi], the index of H's component partition; connected[partition,
+    lo]; partners[lo] and matchable[hi], bit sets of the partner sets X that
+    the low edges offer and that H - X matches; and the edge counts
+    high_edges[hi] and low_edges[lo].
+    """
+    m = n - 2
+    full = (1 << m) - 1
+    inner_pairs = list(itertools.combinations(range(m), 2))
+    high = np.arange(1 << len(inner_pairs), dtype=np.int32)
+    low = np.arange(1 << (2 * m + 1), dtype=np.int32)
+    edge = {uw: ((high >> j) & 1).astype(np.uint8) for j, uw in enumerate(inner_pairs)}
+
+    # components of H: grow each vertex's closed neighbourhood until it
+    # spans paths of length m - 1
+    reach = np.repeat((1 << np.arange(m, dtype=np.uint8))[:, None], high.size, axis=1)
+    for (u, w), bit in edge.items():
+        reach[u] |= bit << w
+        reach[w] |= bit << u
+    for _ in range((m - 1).bit_length()):
+        for u in range(m):
+            reach |= ((reach >> u) & 1) * reach[u]
+    key = np.zeros(high.size, dtype=np.int64)
+    for v in range(m):
+        key |= reach[v].astype(np.int64) << (m * v)
+    parts, partition = np.unique(key, return_inverse=True)
+    # a component is named by its lowest vertex; hits[p, x] = components of
+    # partition p that the inner vertex set x meets
+    comp = np.stack([(parts >> (m * v)) & full for v in range(m)], axis=1)
+    comp &= -comp
+    x = np.arange(1 << m)
+    hits = np.zeros((parts.size, 1 << m), dtype=np.uint8)
+    for v in range(m):
+        hits |= (((x >> v) & 1)[None, :] * comp[:, v : v + 1]).astype(np.uint8)
+    # low bits read as (B, A, 01) in C order; hits[:, -1] is every component
+    ha, hb = hits[:, None, :], hits[:, :, None]
+    covered = (ha | hb) == hits[:, -1:, None]
+    connected = np.stack([covered & ((ha & hb) != 0), covered], axis=-1)
+
+    # pm[s]: H restricted to the even vertex set s has a perfect matching
+    pm = {0: np.ones(high.size, dtype=np.uint8)}
+    for s in range(3, full + 1):
+        if bin(s).count("1") % 2:
+            continue
+        v = (s & -s).bit_length() - 1
+        pm[s] = np.zeros(high.size, dtype=np.uint8)
+        for w in range(v + 1, m):
+            if s >> w & 1:
+                pm[s] |= edge[(v, w)] & pm[s ^ (1 << v) ^ (1 << w)]
+    # partner sets: bit j is the inner pair j, bit len(inner_pairs) is X empty
+    a, b = (low >> 1) & full, low >> (m + 1)
+    partners = (low & 1) << len(inner_pairs)
+    matchable = pm[full].astype(np.int32) << len(inner_pairs)
+    for j, (u, w) in enumerate(inner_pairs):
+        partners |= ((((a >> u) & (b >> w)) | ((a >> w) & (b >> u))) & 1) << j
+        matchable |= pm[full ^ (1 << u) ^ (1 << w)].astype(np.int32) << j
+    return (
+        partition.astype(np.uint8),
+        connected.reshape(parts.size, -1),
+        partners,
+        matchable,
+        sum(edge.values()),
+        sum((low >> i) & 1 for i in range(2 * m + 1)).astype(np.uint8),
+    )
+
+
 def _scan_range(
     n: int,
     start: int,
@@ -441,12 +502,11 @@ def _scan_range(
     m_max: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict:
-    """Scan edge-set masks in [start, stop); vectorized prefilters, then the
-    threshold-order chain for the connected no-matching survivors."""
+    """Scan edge-set masks in [start, stop); table-lookup prefilters, then
+    the threshold-order chain for the connected no-matching survivors."""
     pairs = list(itertools.combinations(range(n), 2))
-    pair_bit = {uv: i for i, uv in enumerate(pairs)}
-    pm_masks = _perfect_matching_masks(n, pair_bit)
-    full_reach = (1 << n) - 1
+    partition, connected_table, partners, matchable, high_edges, low_edges = _scan_tables(n)
+    low_bits = 2 * n - 3
 
     counts = {
         "connected": 0,
@@ -457,28 +517,14 @@ def _scan_range(
     violations: list[dict] = []
     block_size = 1 << _BLOCK_BITS
     done = 0
-    for lo in range(start, stop, block_size):
-        hi = min(lo + block_size, stop)
-        block = np.arange(lo, hi, dtype=np.int64)
-        # per-vertex adjacency rows and the edge count, bit by bit
-        rows = [np.zeros(block.shape, dtype=np.int64) for _ in range(n)]
-        medges = np.zeros(block.shape, dtype=np.int64)
-        for b, (u, v) in enumerate(pairs):
-            bit = (block >> b) & 1
-            rows[u] |= bit << v
-            rows[v] |= bit << u
-            medges += bit
-        # reachability from vertex 0 by n-1 rounds of frontier expansion
-        reach = rows[0] | 1
-        for _ in range(n - 1):
-            grown = reach
-            for v in range(1, n):
-                grown = grown | (rows[v] * ((reach >> v) & 1))
-            reach = grown
-        connected = reach == full_reach
-        has_pm = np.zeros(block.shape, dtype=bool)
-        for pm in pm_masks:
-            has_pm |= (block & pm) == pm
+    for first in range(start, stop, block_size):
+        last = min(first + block_size, stop)
+        block = np.arange(first, last, dtype=np.int64)
+        high = block >> low_bits
+        low = block & ((1 << low_bits) - 1)
+        connected = connected_table[partition[high], low]
+        has_pm = (partners[low] & matchable[high]) != 0
+        medges = high_edges[high] + low_edges[low]
         interesting = connected & ~has_pm
         certified = interesting & (medges <= m_max)
         counts["connected"] += int(connected.sum())
@@ -489,7 +535,7 @@ def _scan_range(
             violation = _check_threshold_order(g, n, ref_hi=ref_hi, counts=counts, admitted=True)
             if violation is not None:
                 violations.append(violation)
-        done += hi - lo
+        done += last - first
         if progress is not None:
             progress(done, stop - start)
     counts["violations"] = violations
@@ -537,6 +583,7 @@ def pm_threshold_scan(
         if threads > 1:
             import multiprocessing as mp
 
+            _scan_tables(n)  # built once here, inherited by the forked workers
             edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
             args = [
                 (n, edges[i], edges[i + 1], ref_root.hi, m_max)

@@ -1,16 +1,13 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single "ACCEPTANCE <k>: PASS/FAIL" line (visible under
-pytest -s); the assertion carries the same verdict. The n=8 exhaustive scan
-is opt-in via SPECMATCH_N8=1 since it needs serious single-core time.
+pytest -s); the assertion carries the same verdict.
 """
 
 import os
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from specmatch import (
     Graph,
@@ -111,10 +108,6 @@ def test_criterion_4_exhaustive_small_order_scan():
     assert ok, line
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SPECMATCH_N8"),
-    reason="n=8 exhaustive scan is opt-in: set SPECMATCH_N8=1",
-)
 def test_criterion_4_exhaustive_scan_n8():
     t0 = time.perf_counter()
     threads = os.cpu_count() or 1

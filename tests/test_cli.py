@@ -2,9 +2,12 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+import specmatch.cli
+import specmatch.matching
 from specmatch import (
     FamilySpec,
     barrier_family,
@@ -138,6 +141,28 @@ def test_matching_with_certificate(capsys):
     assert "S=[4] leaves 4 odd components (deficiency 3)" in out
 
 
+def _count_calls(monkeypatch, name, *modules):
+    # wrap `name` in every module that binds it; the list collects one entry per call
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_matching_runs_blossom_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "max_matching", specmatch.matching, specmatch.cli)
+    code, out, _ = run(capsys, "matching", "--g6", write_graph6(extremal_family(14, 1)))
+    assert code == 0
+    assert "perfect matching: no" in out
+    assert len(calls) == 1
+
+
 def test_matching_json_perfect(capsys):
     g6 = write_graph6(extremal_family(14, 1))
     code, payload, _ = run_json(capsys, "matching", "--g6", g6, "--json")
@@ -168,6 +193,15 @@ def test_fractional_witness_and_violator(capsys):
     assert result["fractional_perfect_matching"] is False
     assert result["violating_set"] == [4]
     assert result["isolated"] == 4
+
+
+def test_fractional_solves_double_cover_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_cover_matching", specmatch.matching, specmatch.cli)
+    # the star K_1 v 4K_1 has no fractional perfect matching
+    code, out, _ = run(capsys, "fractional", "--g6", "D?{")
+    assert code == 0
+    assert "violating set: [4]" in out
+    assert len(calls) == 1
 
 
 def test_fractional_human_output(capsys):
@@ -207,6 +241,15 @@ def test_quotient_rejects_nonpositive_width(capsys):
         code, _, err = run(capsys, "quotient", "--n", "14", "--s", "1", "--tol", value)
         assert code == 2
         assert "finite" in err
+
+
+def test_quotient_accepts_width_below_double_precision_spacing(capsys):
+    code, payload, _ = run_json(
+        capsys, "quotient", "--n", "14", "--s", "1", "--tol", "1e-20", "--json"
+    )
+    assert code == 0
+    lo, hi = (Fraction(x) for x in payload["result"]["root_bracket"])
+    assert 0 < hi - lo <= Fraction(1e-20)
 
 
 def test_verify_theorem13_family(capsys):

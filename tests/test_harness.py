@@ -15,6 +15,7 @@ from specmatch import (
     empty_graph,
     enumerate_graphs,
     extremal_family,
+    has_perfect_matching,
     identity_suite,
     is_connected,
     join,
@@ -165,6 +166,54 @@ def test_scan_n6_exhaustive_counts():
     assert report.extras["eigensolves"] == 0
     pruned = report.extras["wiener_mask_pruned"] + report.extras["wiener_exact_pruned"]
     assert pruned == 2406 - 15
+
+
+def _per_graph_counts(n, chunk, edge_cutoff):
+    # the reference the scan's table prefilter must match: one graph at a time
+    connected = no_pm = light = 0
+    for g in enumerate_graphs(n, chunk=chunk):
+        if is_connected(g):
+            connected += 1
+            if not has_perfect_matching(g):
+                no_pm += 1
+                light += g.edge_count() <= edge_cutoff
+    return connected, no_pm, light
+
+
+def _scan_counts(report):
+    x = report.extras
+    return x["connected"], x["no_pm_connected"], x["wiener_mask_pruned"]
+
+
+def test_scan_n6_unaligned_chunks_match_per_graph_counts():
+    for i in range(7):
+        report = pm_threshold_scan(6, chunk=(i, 7))
+        assert report.passed
+        expected = _per_graph_counts(6, (i, 7), report.extras["edge_cutoff"])
+        assert _scan_counts(report) == expected
+
+
+def test_scan_n8_ranges_across_table_rows_match_per_graph_counts():
+    # ~1000-mask ranges that straddle a multiple of 2^13, where the high
+    # (inner-graph) half of the mask changes inside the range
+    total, parts = 1 << 28, 268435
+    for boundary in (5 << 13, 12345 << 13, 1 << 27, (1 << 28) - (3 << 13)):
+        i = boundary * parts // total
+        start, stop = total * i // parts, total * (i + 1) // parts
+        assert start < boundary < stop and start % (1 << 13)
+        report = pm_threshold_scan(8, chunk=(i, parts))
+        assert report.passed
+        assert report.extras["masks_scanned"] == stop - start
+        expected = _per_graph_counts(8, (i, parts), report.extras["edge_cutoff"])
+        assert _scan_counts(report) == expected
+
+
+def test_scan_threads_give_the_single_process_report():
+    # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs
+    for n, chunk in ((6, (0, 1)), (8, (15, 1024))):
+        single = pm_threshold_scan(n, chunk=chunk, threads=1)
+        forked = pm_threshold_scan(n, chunk=chunk, threads=2)
+        assert forked.to_dict(include_timing=False) == single.to_dict(include_timing=False)
 
 
 def test_scan_large_variant():
