@@ -46,7 +46,6 @@ from .matching import (
     has_pm_bruteforce,
     matching_number,
     max_matching,
-    max_matching_size_bruteforce,
     tutte_certificate,
     tutte_deficiency_bruteforce,
 )

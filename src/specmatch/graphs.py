@@ -97,9 +97,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _iter_bits(self.rows[v])
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 

@@ -122,12 +122,12 @@ def _record(report: SuiteReport, violation: dict | None) -> None:
 # random corpora
 
 
-def random_connected_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
-    """Erdos-Renyi G(n, p) conditioned on connectivity; p defaults to U[0.2, 0.8]."""
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Erdos-Renyi G(n, p) with p drawn from U[0.2, 0.8], conditioned on connectivity."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     while True:
-        prob = rng.uniform(0.2, 0.8) if p is None else p
+        prob = rng.uniform(0.2, 0.8)
         edges = [
             (u, v)
             for u, v in itertools.combinations(range(n), 2)
@@ -147,16 +147,23 @@ def threshold_reference(n: int) -> tuple[Graph, list[list[int]], CertifiedRoot]:
     of even order n, its equitable partition, and its exact radius bracket.
 
     K_{n/2-1} v (n/2+1)K_1 for n <= 8, K_1 v (K_{n-3} u 2K_1) for n >= 10.
+    The root is isolated once per order; each call gets its own partition.
     """
     if n < 4 or n % 2:
         raise ParameterError(f"even order >= 4 required, got {n}")
+    g, partition, root = _threshold_reference(n)
+    return g, [list(block) for block in partition], root
+
+
+@functools.cache
+def _threshold_reference(n: int) -> tuple[Graph, tuple[tuple[int, ...], ...], CertifiedRoot]:
     if n <= 8:
         hub = n // 2 - 1
         g = join(complete_graph(hub), empty_graph(n // 2 + 1))
-        partition = [list(range(hub)), list(range(hub, n))]
+        partition = (tuple(range(hub)), tuple(range(hub, n)))
     else:
         g = join(complete_graph(1), disjoint_union(complete_graph(n - 3), empty_graph(2)))
-        partition = [[0], list(range(1, n - 2)), [n - 2, n - 1]]
+        partition = ((0,), tuple(range(1, n - 2)), (n - 2, n - 1))
     dist = distance_matrix(g)
     poly = char_poly(quotient_matrix(dist.tolist(), partition))
     lo = Fraction(int(dist.sum()), n)
@@ -570,12 +577,7 @@ def pm_threshold_scan(
     if variant == "small":
         if n > 8:
             raise ParameterError(f"exhaustive scan capped at n=8, got {n}")
-        total = 1 << (n * (n - 1) // 2)
-        ci, cm = chunk
-        if not (0 <= ci < cm):
-            raise ParameterError(f"chunk index {ci} outside 0..{cm - 1}")
-        start = total * ci // cm
-        stop = total * (ci + 1) // cm
+        start, stop = _chunk_range(1 << (n * (n - 1) // 2), chunk)
         # edge counts at or below m_max give 2W/n > threshold outright
         pair_count = n * (n - 1) // 2
         bound = (Fraction(4 * pair_count) - n * ref_root.hi) / 2
@@ -1013,6 +1015,14 @@ def identity_suite(
 # enumeration and replay
 
 
+def _chunk_range(total: int, chunk: tuple[int, int]) -> tuple[int, int]:
+    """Start and stop of chunk (index, count) of the items 0..total-1."""
+    ci, cm = chunk
+    if not 0 <= ci < cm:
+        raise ParameterError(f"chunk index {ci} outside 0..{cm - 1}")
+    return total * ci // cm, total * (ci + 1) // cm
+
+
 def enumerate_graphs(
     n: int, connected_only: bool = False, chunk: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
@@ -1020,11 +1030,7 @@ def enumerate_graphs(
     if n < 1 or n > ENUMERATE_CAP:
         raise ParameterError(f"enumeration supports 1 <= n <= {ENUMERATE_CAP}, got {n}")
     pairs = list(itertools.combinations(range(n), 2))
-    total = 1 << len(pairs)
-    ci, cm = chunk
-    if not (0 <= ci < cm):
-        raise ParameterError(f"chunk index {ci} outside 0..{cm - 1}")
-    for mask in range(total * ci // cm, total * (ci + 1) // cm):
+    for mask in range(*_chunk_range(1 << len(pairs), chunk)):
         g = _graph_from_mask(n, mask, pairs)
         if connected_only and not is_connected(g):
             continue

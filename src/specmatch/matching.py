@@ -205,31 +205,6 @@ def has_pm_bruteforce(g: Graph) -> bool:
     return full in reachable
 
 
-def max_matching_size_bruteforce(g: Graph) -> int:
-    """Matching number by memoized branch on the lowest uncovered vertex; n <= 16."""
-    if g.n > _BRUTE_CAP:
-        raise ParameterError(f"brute force capped at n={_BRUTE_CAP}, got {g.n}")
-    rows = g.rows
-    full = g.full_mask
-    memo: dict[int, int] = {full: 0}
-
-    def best(mask: int) -> int:
-        if mask == full:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        free = ~mask & full
-        v = (free & -free).bit_length() - 1
-        result = best(mask | 1 << v)  # leave v uncovered
-        for u in _iter_bits(rows[v] & free):
-            result = max(result, 1 + best(mask | 1 << v | 1 << u))
-        memo[mask] = result
-        return result
-
-    return best(0)
-
-
 def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
     """(max over S of o(G-S) - |S|, first maximizing S); exhaustive over 2^n subsets."""
     if g.n > _BRUTE_CAP:
@@ -327,9 +302,6 @@ class FractionalWitness:
     """Half-integral edge weights certifying a fractional perfect matching."""
 
     weights: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    def weight_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.weights)
 
     def holds_for(self, g: Graph) -> bool:
         sums = [Fraction(0)] * g.n

@@ -4,20 +4,20 @@ An equitable partition of a symmetric integer matrix yields a small quotient
 whose spectrum embeds in the full one; in particular the Perron value of the
 distance matrix equals the largest eigenvalue of the quotient. Everything
 here is exact: Fraction entries, Faddeev-LeVerrier characteristic
-polynomials, and bisection with rational endpoints and sign-certified
-brackets, so downstream comparisons against float estimates inherit hard
-guarantees.
+polynomials, and bisection with rational endpoints whose root brackets are
+proved by Descartes' rule of signs and the intermediate value theorem, so
+downstream comparisons against float estimates inherit hard guarantees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graphs import ParameterError
 
-MESH_POINTS = 64
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**10)
 
 
@@ -99,9 +99,9 @@ class ExactPolynomial:
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction arguments."""
-        acc = self.coefficients[0] if not isinstance(x, float) else float(self.coefficients[0])
+        acc = self.coefficients[0]
         for c in self.coefficients[1:]:
-            acc = acc * x + (c if not isinstance(x, float) else float(c))
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "ExactPolynomial":
@@ -179,20 +179,42 @@ class CertifiedRoot:
         return self.hi - self.lo
 
 
+def _shifted_signs(coefficients: Sequence[int], a: Fraction) -> tuple[int, int]:
+    """Sign changes in the coefficients of p(x + a), and the sign of p(a), for
+    p with integer `coefficients`, highest degree first.
+
+    With a = u/v and y = v x, v^d p(x + a) is sum_i c_i v^i (y + u)^(d-i): its
+    coefficients are positive multiples of those of p(x + a), so the Taylor
+    shift by u (repeated synthetic division) runs in integers.
+    """
+    u, v = a.numerator, a.denominator
+    c = [ci * v**i for i, ci in enumerate(coefficients)]
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(1, d + 1 - i):
+            c[j] += u * c[j - 1]
+    signs = [ci > 0 for ci in c if ci]
+    return sum(s != t for s, t in zip(signs, signs[1:])), (c[d] > 0) - (c[d] < 0)
+
+
 def largest_root(
     poly: ExactPolynomial,
     lo: Fraction | int,
     hi: Fraction | int,
     width: Fraction = DEFAULT_ROOT_WIDTH,
-    mesh: int = MESH_POINTS,
 ) -> CertifiedRoot:
-    """Isolate the largest root of `poly` in [lo, hi] by exact-sign bisection.
+    """Isolate the largest root of `poly` in [lo, hi] by exact bisection.
 
-    Requires the largest root to lie in the bracket: poly must be positive at
-    hi (or zero, making hi the root) and a sign change must exist. After
-    bisection, positivity of poly at `mesh` rational points strictly between
-    the root bracket and hi certifies that no larger root hides above;
-    BracketError otherwise.
+    Bisection moves `hi` down to every midpoint m where p(x + m) has no sign
+    change in its coefficients, and `lo` up to every other midpoint. The
+    returned bracket is a proof:
+    - no root exceeds hi: p(x + hi) has no sign change, so by Descartes' rule
+      of signs it has no positive root;
+    - a root lies in [lo, hi]: p(lo) and p(hi) are not of one strict sign, so
+      by the intermediate value theorem p vanishes in between.
+    BracketError when either half fails: a root above hi, no root in the
+    bracket, or no sign change around the largest root (even multiplicity,
+    or two roots closer together than `width`).
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -202,46 +224,25 @@ def largest_root(
         raise ParameterError(f"root width must be positive, got {width}")
     if poly.degree < 1:
         raise ParameterError("constant polynomial has no roots")
-    f_hi = poly(hi)
-    if f_hi < 0:
-        raise BracketError(f"poly({hi}) < 0: largest root lies above the bracket")
-    top = hi
-    if f_hi == 0:
-        root_lo = root_hi = hi
-    else:
-        f_lo = poly(lo)
-        if f_lo > 0:
-            # no sign change at the ends; scan for a negative interior point
-            found = None
-            for i in range(1, mesh + 1):
-                x = lo + (hi - lo) * i / (mesh + 1)
-                if poly(x) < 0:
-                    found = x
-            if found is None:
-                raise BracketError("no sign change inside the bracket")
-            lo = found
-        elif f_lo == 0:
-            lo_bumped = lo + (hi - lo) / (mesh + 1)
-            if poly(lo_bumped) < 0:
-                lo = lo_bumped
-            # else the root at lo may be the largest; bisection degenerates below
-        root_lo, root_hi = lo, hi
-        while root_hi - root_lo > width:
-            mid = (root_lo + root_hi) / 2
-            f_mid = poly(mid)
-            if f_mid > 0:
-                root_hi = mid
-            elif f_mid < 0:
-                root_lo = mid
-            else:
-                root_lo = root_hi = mid
-                break
-    if root_hi < top:
-        step = (top - root_hi) / (mesh + 1)
-        for i in range(1, mesh + 1):
-            if poly(root_hi + step * i) <= 0:
-                raise BracketError("sign change above the candidate: not the largest root")
-    return CertifiedRoot(value=float((root_lo + root_hi) / 2), lo=root_lo, hi=root_hi)
+    scale = math.lcm(*(c.denominator for c in poly.coefficients))
+    coefficients = [int(c * scale) for c in poly.coefficients]
+    changes, sign = _shifted_signs(coefficients, hi)
+    if changes:
+        raise BracketError(f"Descartes' rule allows a root above {hi}")
+    if sign == 0:
+        lo = hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        changes, sign = _shifted_signs(coefficients, mid)
+        if changes:
+            lo = mid
+        elif sign == 0:
+            lo = hi = mid
+        else:
+            hi = mid
+    if poly(lo) * poly.coefficients[0] > 0:
+        raise BracketError("no sign change inside the bracket")
+    return CertifiedRoot(value=float((lo + hi) / 2), lo=lo, hi=hi)
 
 
 def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) -> CertifiedRoot:

@@ -31,7 +31,7 @@ from specmatch import (
     write_graph6,
 )
 from specmatch.harness import CHECKS, check_probe_sample
-from specmatch.quotient import family_quartic_root
+from specmatch.quotient import family_quartic_root, largest_root
 
 
 def test_threshold_reference_closed_forms():
@@ -51,6 +51,22 @@ def test_threshold_reference_closed_forms():
 
     for g in (g4, g10):
         assert not has_perfect_matching(g)
+
+
+def test_threshold_root_is_isolated_once_per_order(monkeypatch):
+    import specmatch.harness as harness
+
+    pm_threshold_scan(8, chunk=(3, 4096))
+    calls = []
+    monkeypatch.setattr(
+        harness, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
+    )
+    again = pm_threshold_scan(8, chunk=(5, 4096))
+    assert calls == []
+    _, partition, root = threshold_reference(8)
+    assert again.extras["reference_mu"] == [float(root.lo), float(root.hi)]
+    partition[0].append(99)  # the caller's copy, not the cached partition
+    assert threshold_reference(8)[1] == [[0, 1, 2], [3, 4, 5, 6, 7]]
 
 
 def test_threshold_reference_validation():

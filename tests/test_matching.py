@@ -22,7 +22,6 @@ from specmatch import (
     join,
     matching_number,
     max_matching,
-    max_matching_size_bruteforce,
     odd_components,
     tutte_certificate,
     tutte_deficiency_bruteforce,
@@ -80,7 +79,8 @@ def test_blossom_against_bruteforce():
         g = _random_graph(rng, n, rng.uniform(0.05, 0.95))
         m = max_matching(g)
         assert m.is_valid_for(g)
-        assert len(m) == max_matching_size_bruteforce(g)
+        # Tutte-Berge: nu(G) = (n - max over S of (o(G-S) - |S|)) / 2
+        assert len(m) == (g.n - tutte_deficiency_bruteforce(g)[0]) // 2
 
 
 def test_perfect_matching_agrees_with_dp_oracle():
@@ -94,8 +94,6 @@ def test_perfect_matching_agrees_with_dp_oracle():
 def test_bruteforce_caps():
     with pytest.raises(ParameterError):
         has_pm_bruteforce(empty_graph(17))
-    with pytest.raises(ParameterError):
-        max_matching_size_bruteforce(empty_graph(17))
     with pytest.raises(ParameterError):
         tutte_deficiency_bruteforce(empty_graph(17))
     with pytest.raises(ParameterError):

@@ -178,14 +178,60 @@ def test_largest_root_bracket_errors():
         largest_root(p, 0, 2)  # poly(2) < 0: largest root above bracket
     with pytest.raises(BracketError):
         largest_root(ExactPolynomial((1, 0, 1)), 0, 2)  # no real roots
-    # 2(x-1)(x-3)(x-7/2): bisection hits the exact root at 1, the sign mesh
-    # must catch the negative stretch (3, 7/2) hiding above it
     with pytest.raises(BracketError):
-        largest_root(ExactPolynomial((2, -15, 34, -21)), 0, 4)
+        largest_root(p, 0, 1)  # poly(1) == 0, yet the root 3 lies above
+    with pytest.raises(BracketError):
+        # a double root: p never changes sign, so no bracket is certified
+        largest_root(ExactPolynomial((9, -6, 1)), 0, 1)
     with pytest.raises(ParameterError):
         largest_root(p, 3, 1)
     with pytest.raises(ParameterError):
         largest_root(ExactPolynomial((5,)), 0, 1)
+
+
+def _from_roots(roots, lead=1):
+    coefficients = [Fraction(lead)]
+    for r in roots:
+        coefficients = [a - r * b for a, b in zip(coefficients + [0], [0] + coefficients)]
+    return ExactPolynomial(tuple(coefficients))
+
+
+def test_largest_root_sees_a_close_pair_above_a_positive_midpoint():
+    # p > 0 at the first midpoint 2, below the pair 3001/1000 < 3002/1000
+    p = _from_roots((1, Fraction(3001, 1000), Fraction(3002, 1000)))
+    assert p(2) > 0
+    root = largest_root(p, 0, 4)
+    assert root.lo <= Fraction(3002, 1000) <= root.hi
+    assert root.width <= Fraction(1, 10**10)
+
+
+def test_largest_root_hits_a_root_above_a_lower_exact_root():
+    # 2(x-1)(x-3)(x-7/2): the negative stretch (3, 7/2) lies above the root 1
+    root = largest_root(ExactPolynomial((2, -15, 34, -21)), 0, 4)
+    assert root.lo == root.hi == Fraction(7, 2)
+
+
+def test_largest_root_on_random_rational_roots():
+    # products of linear factors with a simple largest root: close pairs
+    # (wider apart than `width`), repeated lower roots, and brackets that
+    # start or end on a root
+    rng = random.Random(11)
+    width = Fraction(1, 10**10)
+    for trial in range(400):
+        roots = list({Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(rng.randrange(1, 5))})
+        if trial % 3 == 1:
+            roots.append(max(roots) + Fraction(1, rng.choice((10**3, 10**5, 10**9))))
+        elif trial % 3 == 2:
+            roots += [min(roots)] * 2
+        top = max(roots)
+        p = _from_roots(roots, lead=rng.choice((1, -3, Fraction(1, 2))))
+        # lo == top or lo on a lower root gives p(lo) == 0; hi == top gives p(hi) == 0
+        lo = rng.choice([top - 5, top - Fraction(1, 7), *roots])
+        hi = top + rng.choice((0, Fraction(1, 3), 2))
+        root = largest_root(p, lo, hi, width=width)
+        assert root.lo <= top <= root.hi
+        assert root.width <= width
+        assert p(root.lo) * p.coefficients[0] <= 0 <= p(root.hi) * p.coefficients[0]
 
 
 def test_largest_root_rejects_nonpositive_width():
