@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
         )
     elif target == "corollary14":
         n_hi = args.n if args.n is not None else 40
-        report = harness.corollary_comparison(n_hi=n_hi)
+        report = harness.corollary_comparison(n_hi=n_hi, tol=args.tol)
     else:
         raise ParameterError(f"unknown verify target {target!r}")
 

@@ -5,7 +5,9 @@ when every checked instance satisfied its predicate. Every check that has a
 witness graph is decided by one predicate, registered in CHECKS under the
 check's name: it returns a violation record (the witness in graph6 form plus
 the parameters of the check) or None. The suites call the predicates, and
-replay_violation calls the same predicate on a recorded witness.
+replay_violation calls the same predicate on a recorded witness. Every strict
+ordering of a radius against a reference is decided by compare_estimates;
+when the reference is a threshold graph, it is the graph's exact root.
 """
 
 from __future__ import annotations
@@ -294,41 +296,44 @@ def verify_extremal_family(
 # ordering chain suite
 
 
+def _check_above(check: str, g: Graph, ref, tol: float, est=None, **data) -> dict | None:
+    """mu(g) is strictly above the radius bracketed by `ref`: an exact
+    CertifiedRoot for a threshold graph, otherwise another estimate. The one
+    body behind every strict ordering check that compares two radii."""
+    est = distance_spectral_radius(g, tol) if est is None else est
+    order = compare_estimates(est, ref)
+    if order is Ordering.GREATER:
+        return None
+    detail = f"expected mu strictly above the reference, got {order.value}"
+    return _violation(check, g, detail, **data, tol=tol)
+
+
 def _check_chain_canonical(
-    g: Graph, n: int, s: int, parts: list[int], tol: float, est=None, est_canon=None
+    g: Graph, n: int, s: int, parts: list[int], tol: float, est=None
 ) -> dict | None:
-    """First leg of the ordering chain for g = K_s v (K_{n1} u ... u K_{nq}).
-    If the parts are the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}), the
-    radii must not separate and g must be that shape ("chain-equality");
-    otherwise mu(g) is strictly above the canonical shape ("chain-canonical")."""
+    """First leg of the ordering chain for g = K_s v (K_{n1} u ... u K_{nq}),
+    against the exact quartic root of the canonical shape
+    K_s v (sK_1 u K_3 u K_{n-2s-3}). If the parts are that shape, the radii
+    must not separate and g must be that shape ("chain-equality"); otherwise
+    mu(g) is strictly above it ("chain-canonical")."""
     target_parts = (1,) * s + (3, n - 2 * s - 3)
+    root = family_quartic_root(n, s)
+    if tuple(parts) != target_parts:
+        return _check_above("chain-canonical", g, root, tol, est, n=n, s=s, parts=list(parts))
     est = distance_spectral_radius(g, tol) if est is None else est
-    if est_canon is None:
-        est_canon = distance_spectral_radius(barrier_family(FamilySpec(n, s, target_parts)), tol)
-    order = compare_estimates(est, est_canon)
-    if tuple(parts) == target_parts:
-        if order is Ordering.INDETERMINATE and matches_clique_join(g, s, target_parts):
-            return None
-        check, detail = "chain-equality", "equality case not confirmed structurally"
-    elif order is Ordering.GREATER:
+    if compare_estimates(est, root) is Ordering.INDETERMINATE and matches_clique_join(
+        g, s, target_parts
+    ):
         return None
-    else:
-        check, detail = "chain-canonical", f"expected mu above canonical shape, got {order.value}"
-    return _violation(check, g, detail, n=n, s=s, parts=list(parts), tol=tol)
+    detail = "equality case not confirmed structurally"
+    return _violation("chain-equality", g, detail, n=n, s=s, parts=list(parts), tol=tol)
 
 
-def _check_chain_threshold(
-    g: Graph, n: int, s: int, k: int, tol: float, est=None, est_star=None
-) -> dict | None:
+def _check_chain_threshold(g: Graph, n: int, s: int, k: int, tol: float, est=None) -> dict | None:
     """Second leg: the canonical s-hub shape g is strictly above the k-hub
-    threshold graph."""
-    est = distance_spectral_radius(g, tol) if est is None else est
-    if est_star is None:
-        est_star = distance_spectral_radius(extremal_family(n, k), tol)
-    if compare_estimates(est, est_star) is Ordering.GREATER:
-        return None
-    detail = f"canonical s-hub shape not above k-hub threshold (s={s}, k={k})"
-    return _violation("chain-threshold", g, detail, n=n, s=s, k=k, tol=tol)
+    threshold graph, whose radius is the exact quartic root."""
+    root = family_quartic_root(n, k)
+    return _check_above("chain-threshold", g, root, tol, est, n=n, s=s, k=k)
 
 
 def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteReport:
@@ -354,19 +359,16 @@ def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteR
     report = SuiteReport(
         "ordering-chain", {"n": n, "s": s, "parts": list(spec.parts), "k": k, "tol": tol}
     )
-    target_parts = (1,) * s + (3, n - 2 * s - 3)
-    g1 = barrier_family(spec)
-    g2 = barrier_family(FamilySpec(n, s, target_parts))
-    est1 = distance_spectral_radius(g1, tol)
-    est2 = distance_spectral_radius(g2, tol)
-    report.extras["equality_case"] = spec.parts == target_parts
-    report.extras["mu"] = {"given": est1.value, "canonical": est2.value}
-    _record(report, _check_chain_canonical(g1, n, s, list(spec.parts), tol, est1, est2))
+    g = barrier_family(spec)
+    est = distance_spectral_radius(g, tol)
+    report.extras["equality_case"] = spec.parts == (1,) * s + (3, n - 2 * s - 3)
+    report.extras["mu"] = {"given": est.value, "canonical": family_quartic_root(n, s).value}
+    _record(report, _check_chain_canonical(g, n, s, list(spec.parts), tol, est))
 
     if s >= k + 1:
-        est_star = distance_spectral_radius(extremal_family(n, k), tol)
-        report.extras["mu"]["threshold"] = est_star.value
-        _record(report, _check_chain_threshold(g2, n, s, k, tol, est2, est_star))
+        report.extras["mu"]["threshold"] = family_quartic_root(n, k).value
+        # the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}) is extremal_family(n, s)
+        _record(report, _check_chain_threshold(extremal_family(n, s), n, s, k, tol))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -388,18 +390,18 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
 
 
 def _check_threshold_order(
-    g: Graph, n: int, tol: float = _SCAN_TOL, ref_hi=None, counts=None, admitted=False
+    g: Graph, n: int, tol: float = _SCAN_TOL, ref=None, counts=None, admitted=False
 ) -> dict | None:
     """Theorem 11 for one graph: if g is connected without a perfect matching
     (taken as given when `admitted`), its radius is strictly above the
-    threshold graph's, or g is the threshold graph. The exact 2W/n prune, the
-    structural match and the eigensolve run in turn; `counts` tallies the
-    stage that decided g."""
+    threshold graph's exact root `ref`, or g is the threshold graph. The exact
+    2W/n prune, the structural match and the eigensolve run in turn; `counts`
+    tallies the stage that decided g."""
     if not admitted and (not is_connected(g) or has_perfect_matching(g)):
         return None
-    ref_hi = threshold_reference(n)[2].hi if ref_hi is None else ref_hi
+    ref = threshold_reference(n)[2] if ref is None else ref
     counts = dict.fromkeys(_FUNNEL_KEYS, 0) if counts is None else counts
-    if mu_lower_bound_wiener(g) > ref_hi:
+    if mu_lower_bound_wiener(g) > ref.hi:
         counts["wiener_exact_pruned"] += 1
         return None
     if matches_clique_join(g, *_reference_parts(n)):
@@ -407,7 +409,7 @@ def _check_threshold_order(
         return None
     est = distance_spectral_radius(g, tol)
     counts["eigensolves"] += 1
-    if est.lo > float(ref_hi):
+    if compare_estimates(est, ref) is Ordering.GREATER:
         counts["strictly_greater"] += 1
         return None
     return _violation(
@@ -416,7 +418,7 @@ def _check_threshold_order(
         "no perfect matching yet radius not above the threshold",
         n=n,
         estimate=[est.lo, est.hi],
-        reference_hi=float(ref_hi),
+        reference_hi=float(ref.hi),
         tol=tol,
     )
 
@@ -505,7 +507,7 @@ def _scan_range(
     n: int,
     start: int,
     stop: int,
-    ref_hi: Fraction,
+    ref: CertifiedRoot,
     m_max: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict:
@@ -539,7 +541,7 @@ def _scan_range(
         counts["wiener_mask_pruned"] += int(certified.sum())
         for i in np.nonzero(interesting & (medges > m_max))[0]:
             g = _graph_from_mask(n, int(block[i]), pairs)
-            violation = _check_threshold_order(g, n, ref_hi=ref_hi, counts=counts, admitted=True)
+            violation = _check_threshold_order(g, n, ref=ref, counts=counts, admitted=True)
             if violation is not None:
                 violations.append(violation)
         done += last - first
@@ -563,7 +565,7 @@ def pm_threshold_scan(
 
     variant="small" scans all labeled graphs on n in {4, 6, 8} (chunkable and
     parallelizable); variant="large" samples `trials` connected graphs at the
-    given order instead.
+    given order instead, in one chunk and one thread.
     """
     if n < 4 or n % 2:
         raise ParameterError(f"even order >= 4 required, got {n}")
@@ -588,14 +590,14 @@ def pm_threshold_scan(
             _scan_tables(n)  # built once here, inherited by the forked workers
             edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
             args = [
-                (n, edges[i], edges[i + 1], ref_root.hi, m_max)
+                (n, edges[i], edges[i + 1], ref_root, m_max)
                 for i in range(threads)
                 if edges[i] < edges[i + 1]
             ]
             with mp.get_context("fork").Pool(len(args)) as pool:
                 results = pool.starmap(_scan_range, args)
         else:
-            results = [_scan_range(n, start, stop, ref_root.hi, m_max, progress)]
+            results = [_scan_range(n, start, stop, ref_root, m_max, progress)]
         for res in results:
             report.violations.extend(res.pop("violations"))
             for key, val in res.items():
@@ -606,6 +608,8 @@ def pm_threshold_scan(
     elif variant == "large":
         if trials < 1:
             raise ParameterError(f"need trials >= 1, got {trials}")
+        if tuple(chunk) != (0, 1) or threads != 1:
+            raise ParameterError("the sampled variant runs as one chunk in one thread")
         rng = random.Random(seed)
         params["trials"] = trials
         params["seed"] = seed
@@ -617,9 +621,7 @@ def pm_threshold_scan(
             if has_perfect_matching(g):
                 continue
             no_pm += 1
-            violation = _check_threshold_order(
-                g, n, ref_hi=ref_root.hi, counts=counts, admitted=True
-            )
+            violation = _check_threshold_order(g, n, ref=ref_root, counts=counts, admitted=True)
             if violation is not None:
                 report.violations.append(violation)
         report.extras["no_pm_sampled"] = no_pm
@@ -703,14 +705,13 @@ def check_probe_sample(
     must have radius strictly above the threshold root, unless it is the
     threshold graph itself. Returns a violation record or None."""
     ref_root = family_quartic_root(n, k) if ref_root is None else ref_root
-    ref_hi_float = float(ref_root.hi)
     est = distance_spectral_radius(g, tol)
-    if est.lo > ref_hi_float:
+    if compare_estimates(est, ref_root) is Ordering.GREATER:
         return None
     if matches_clique_join(g, k, (1,) * k + (3, n - 2 * k - 3)):
         return None
     est = distance_spectral_radius(g, 1e-10)
-    if est.lo > ref_hi_float:
+    if compare_estimates(est, ref_root) is Ordering.GREATER:
         return None
     return _violation(
         "probe-order",
@@ -719,7 +720,7 @@ def check_probe_sample(
         n=n,
         k=k,
         estimate=[est.lo, est.hi],
-        reference_hi=ref_hi_float,
+        reference_hi=float(ref_root.hi),
         tol=tol,
     )
 
@@ -791,16 +792,11 @@ def probe_extremal_bound(
 # lemma suites
 
 
-def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None, est_p=None) -> dict | None:
+def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None) -> dict | None:
     """g, the fractional threshold graph of order n, is strictly above the
-    plain threshold graph K_1 v (K_{n-3} u 2K_1)."""
-    est_f = distance_spectral_radius(g, tol) if est_f is None else est_f
-    if est_p is None:
-        est_p = distance_spectral_radius(barrier_family(FamilySpec(n, 1, (1, 1, n - 3))), tol)
-    if compare_estimates(est_f, est_p) is Ordering.GREATER:
-        return None
-    detail = f"fractional threshold not above plain threshold at n={n}"
-    return _violation("corollary-order", g, detail, n=n, tol=tol)
+    exact root of the plain threshold graph K_1 v (K_{n-3} u 2K_1), which is
+    the Theorem 11 reference for n >= 10."""
+    return _check_above("corollary-order", g, threshold_reference(n)[2], tol, est_f, n=n)
 
 
 def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
@@ -814,9 +810,8 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> S
     for n in range(n_lo, n_hi + 1, 2):
         g_frac = extremal_family(n, 1)
         est_f = distance_spectral_radius(g_frac, tol)
-        est_p = distance_spectral_radius(barrier_family(FamilySpec(n, 1, (1, 1, n - 3))), tol)
-        margins[n] = est_f.lo - est_p.hi
-        _record(report, _check_corollary_order(g_frac, n, tol, est_f, est_p))
+        margins[n] = est_f.lo - float(threshold_reference(n)[2].hi)
+        _record(report, _check_corollary_order(g_frac, n, tol, est_f))
     report.extras["margins"] = margins
     report.seconds = time.perf_counter() - t0
     return report
@@ -832,12 +827,8 @@ def _check_wiener_bound(g: Graph, tol: float, est=None) -> dict | None:
 def _check_edge_monotonicity(g: Graph, edge: list[int], tol: float, est_g=None) -> dict | None:
     """Adding the missing edge uv strictly lowers the radius."""
     u, v = edge
-    est_g = distance_spectral_radius(g, tol) if est_g is None else est_g
     est_h = distance_spectral_radius(g.add_edge(u, v), tol)
-    if compare_estimates(est_g, est_h) is Ordering.GREATER:
-        return None
-    detail = f"adding edge ({u},{v}) did not strictly lower the radius"
-    return _violation("edge-monotonicity", g, detail, edge=[u, v], tol=tol)
+    return _check_above("edge-monotonicity", g, est_h, tol, est_g, edge=[u, v])
 
 
 def _check_family_ordering(g: Graph, n: int, s: int, parts: list[int], tol: float) -> dict | None:
@@ -845,13 +836,8 @@ def _check_family_ordering(g: Graph, n: int, s: int, parts: list[int], tol: floa
     to s singletons, q-s-1 triangles and one large clique."""
     q = len(parts)
     canon = FamilySpec(n, s, (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,))
-    order = compare_estimates(
-        distance_spectral_radius(g, tol), distance_spectral_radius(barrier_family(canon), tol)
-    )
-    if order is Ordering.GREATER:
-        return None
-    detail = f"expected strict ordering against canonical parts, got {order.value}"
-    return _violation("family-ordering", g, detail, n=n, s=s, parts=list(parts), tol=tol)
+    ref = distance_spectral_radius(barrier_family(canon), tol)
+    return _check_above("family-ordering", g, ref, tol, n=n, s=s, parts=list(parts))
 
 
 def lemma_suites(
@@ -859,7 +845,6 @@ def lemma_suites(
     monotonicity_graphs: int = 200,
     ordering_specs: int = 100,
     corollary_span: tuple[int, int] = (14, 40),
-    order_range: tuple[int, int] = (5, 14),
 ) -> SuiteReport:
     """Randomized checks of the supporting inequalities.
 
@@ -883,7 +868,7 @@ def lemma_suites(
     mono_tol = 1e-9
     edge_checks = 0
     for _ in range(monotonicity_graphs):
-        n = rng.randrange(order_range[0], order_range[1] + 1)
+        n = rng.randrange(5, 15)  # orders 5..14
         g = random_connected_graph(rng, n)
         est_g = distance_spectral_radius(g, mono_tol)
         _record(report, _check_wiener_bound(g, mono_tol, est_g))

@@ -34,12 +34,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covered_mask(self) -> int:
-        mask = 0
-        for u, v in self.edges:
-            mask |= 1 << u | 1 << v
-        return mask
-
     def is_valid_for(self, g: Graph) -> bool:
         seen = 0
         for u, v in self.edges:

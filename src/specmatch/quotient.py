@@ -11,6 +11,7 @@ downstream comparisons against float estimates inherit hard guarantees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,13 +51,6 @@ class QuotientMatrix:
     """Block-averaged matrix of an equitable partition; entries are exact Fractions."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.entries)
-
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row) for row in self.entries]
 
 
 def quotient_matrix(
@@ -111,11 +105,6 @@ class ExactPolynomial:
         return ExactPolynomial(
             tuple(c * (d - i) for i, c in enumerate(self.coefficients[:-1]))
         )
-
-    def integer_coefficients(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coefficients):
-            raise ParameterError("coefficients are not integral")
-        return tuple(c.numerator for c in self.coefficients)
 
 
 def char_poly(q: QuotientMatrix | Iterable[Iterable]) -> ExactPolynomial:
@@ -246,7 +235,16 @@ def largest_root(
 
 
 def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
-    """Largest quartic root over the canonical bracket [2W/n, max transmission]."""
+    """Largest quartic root over the canonical bracket [2W/n, max transmission].
+
+    Each (n, s, width) root is isolated once per process; the frozen
+    CertifiedRoot is shared between callers.
+    """
+    return _family_quartic_root(n, s, width)
+
+
+@functools.cache
+def _family_quartic_root(n: int, s: int, width: Fraction) -> CertifiedRoot:
     poly = family_quartic(n, s)
     lo = Fraction(n * n + (2 * s + 5) * n - 3 * s * s - 13 * s - 18, n)
     hi = Fraction(2 * n - s - 2)

@@ -98,15 +98,14 @@ class SpectralEstimate:
         return self.hi - self.lo
 
 
-def distance_spectral_radius(
-    g: Graph, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS
-) -> SpectralEstimate:
+def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
     """Power iteration from the all-ones vector with Collatz-Wielandt brackets.
 
     The per-step bracket [min ratio, max ratio] always contains mu, so the
     running intersection narrows monotonically; iteration stops when its width
-    drops to `tol`. The exact 2W/n lower bound clamps the floor, which also
-    collapses the bracket immediately on transmission-regular graphs.
+    drops to `tol`, or with ConvergenceError after MAX_ITERATIONS steps. The
+    exact 2W/n lower bound clamps the floor, which also collapses the bracket
+    immediately on transmission-regular graphs.
     """
     if g.n < 2:
         raise ParameterError(f"spectral radius needs n >= 2, got n={g.n}")
@@ -119,7 +118,7 @@ def distance_spectral_radius(
     lo = wiener_floor
     hi = float(dist.sum(axis=1).max())
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         y = dist @ x
         iterations += 1
         ratios = y / x
@@ -142,8 +141,15 @@ class Ordering(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def compare_estimates(a: SpectralEstimate, b: SpectralEstimate) -> Ordering:
-    """Strict comparison decided only by disjoint brackets; ties are indeterminate."""
+def compare_estimates(a, b) -> Ordering:
+    """Strict comparison of two radii, decided only by disjoint brackets; ties
+    are indeterminate.
+
+    Each side is any bracket with `lo` and `hi`: a SpectralEstimate (floats)
+    or a quotient.CertifiedRoot (Fractions). Python compares a float with a
+    Fraction exactly, so an estimate held against an exact root is decided on
+    the exact value of the root's endpoint, never on its rounding to a float.
+    """
     if a.lo > b.hi:
         return Ordering.GREATER
     if a.hi < b.lo:

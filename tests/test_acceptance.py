@@ -72,7 +72,7 @@ def test_criterion_2_radius_matches_quartic_root():
             root = family_quartic_root(n, k)
             if abs(est.value - root.value) > 1e-6:
                 failures.append((n, k, est.value, root.value))
-    spot = family_quartic(14, 1).integer_coefficients() == (1, -10, -153, -368, -172)
+    spot = family_quartic(14, 1).coefficients == (1, -10, -153, -368, -172)
     spot_root = family_quartic_root(14, 1)
     spot = spot and Fraction(130, 7) < spot_root.lo and spot_root.hi <= 25
     ok = not failures and spot

@@ -348,6 +348,21 @@ def test_verify_corollary14(capsys):
     assert "corollary14: PASS (4 cases, 0 violations" in out
 
 
+def test_verify_corollary14_passes_tolerance(capsys):
+    code, payload, _ = run_json(
+        capsys, "verify", "corollary14", "--n", "16", "--tol", "1e-9", "--json"
+    )
+    assert code == 0
+    assert payload["result"]["params"]["tol"] == 1e-9
+
+
+def test_verify_sampled_theorem11_rejects_chunks(capsys):
+    code, _, err = run(
+        capsys, "verify", "theorem11", "--n", "10", "--variant", "large", "--chunk", "1/4"
+    )
+    assert code == 2 and "one chunk" in err
+
+
 def test_verify_lemmas_full_defaults(capsys):
     code, payload, _ = run_json(capsys, "verify", "lemmas", "--json")
     assert code == 0

@@ -137,6 +137,23 @@ def test_ordering_chain_strict_cases():
     assert report.extras["equality_case"] is False
 
 
+def test_threshold_graphs_are_read_off_their_exact_roots(monkeypatch):
+    # the canonical shape and both threshold graphs are compared through their
+    # quartic or quotient roots; only the graphs under test are eigensolved
+    import specmatch.harness as harness
+
+    calls = []
+    solve = harness.distance_spectral_radius
+    monkeypatch.setattr(
+        harness, "distance_spectral_radius", lambda *a, **kw: calls.append(a) or solve(*a, **kw)
+    )
+    assert verify_ordering_chain(FamilySpec(22, 2, (1, 1, 3, 15)), k=1).passed
+    assert len(calls) == 2
+    calls.clear()
+    assert corollary_comparison(14, 40).passed
+    assert len(calls) == 14
+
+
 def test_ordering_chain_validation():
     with pytest.raises(ParameterError):
         verify_ordering_chain(FamilySpec(14, 1, (1, 3, 9)), k=2)  # k > s
@@ -279,6 +296,14 @@ def test_suites_reject_empty_trials():
             probe_extremal_bound(14, 1, trials=trials)
         with pytest.raises(ParameterError, match="trials"):
             pm_threshold_scan(10, variant="large", trials=trials)
+
+
+def test_sampled_scan_rejects_chunks_and_threads():
+    # every chunk would draw the same samples, so a split run repeats work
+    with pytest.raises(ParameterError, match="one chunk"):
+        pm_threshold_scan(10, variant="large", trials=5, chunk=(1, 4))
+    with pytest.raises(ParameterError, match="one chunk"):
+        pm_threshold_scan(10, variant="large", trials=5, threads=2)
 
 
 def test_probe_exploratory_finds_genuine_violations():
@@ -429,8 +454,7 @@ def test_check_table_replays(check):
 
 def _small_lemmas():
     return lemma_suites(
-        seed=0, monotonicity_graphs=2, ordering_specs=2, corollary_span=(14, 14),
-        order_range=(5, 6),
+        seed=0, monotonicity_graphs=2, ordering_specs=2, corollary_span=(14, 14)
     )
 
 
@@ -476,7 +500,6 @@ def test_lemma_suites_small_run():
         monotonicity_graphs=6,
         ordering_specs=6,
         corollary_span=(14, 16),
-        order_range=(5, 8),
     )
     assert report.passed
     assert report.cases == 6 + report.extras["edge_checks"] + 6 + 2
@@ -491,7 +514,6 @@ def test_lemma_suites_deterministic():
         monotonicity_graphs=4,
         ordering_specs=4,
         corollary_span=(14, 14),
-        order_range=(5, 7),
     )
     a = lemma_suites(**kwargs).to_dict(include_timing=False)
     b = lemma_suites(**kwargs).to_dict(include_timing=False)
@@ -517,6 +539,18 @@ def test_identity_suite_exact_counts():
     assert report.passed
     # 3 grid points at 10 checks each, plus 2 checks per k up to 5
     assert report.cases == 3 * 10 + 2 * 5
+
+
+def test_identity_suite_isolates_each_root_once(monkeypatch):
+    import specmatch.quotient as quotient
+
+    first = identity_suite().to_dict(include_timing=False)
+    calls = []
+    monkeypatch.setattr(
+        quotient, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
+    )
+    assert identity_suite().to_dict(include_timing=False) == first
+    assert calls == []
 
 
 def test_enumerate_counts():

@@ -61,14 +61,14 @@ def test_blossom_needs_odd_cycle_contraction():
     m = max_matching(g)
     assert len(m) == 3
     assert m.is_valid_for(g)
-    assert m.covered_mask() == 0b111111
+    assert {v for edge in m.edges for v in edge} == set(range(6))
 
 
 def test_matching_validity_and_mask():
     g = complete_graph(5)
     m = max_matching(g)
     assert m.is_valid_for(g)
-    assert m.covered_mask().bit_count() == 2 * len(m)
+    assert len({v for edge in m.edges for v in edge}) == 2 * len(m)
     assert not m.is_valid_for(empty_graph(5))
 
 

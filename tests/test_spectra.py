@@ -2,11 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import specmatch.spectra
+
 from specmatch import (
+    CertifiedRoot,
     ConvergenceError,
     DisconnectedError,
     Graph,
@@ -131,9 +135,10 @@ def test_parameter_validation():
         distance_spectral_radius(complete_graph(4), tol=float("nan"))
 
 
-def test_convergence_error_carries_bracket():
+def test_convergence_error_carries_bracket(monkeypatch):
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError) as err:
-        distance_spectral_radius(_path(5), tol=1e-12, max_iterations=2)
+        distance_spectral_radius(_path(5), tol=1e-12)
     assert err.value.iterations == 2
     assert err.value.lo < err.value.hi
 
@@ -145,6 +150,12 @@ def test_compare_estimates_orderings():
     assert compare_estimates(b, a) is Ordering.LESS
     overlapping = SpectralEstimate(value=5.0, residual=0.0, lo=5.0, hi=5.2, iterations=1)
     assert compare_estimates(a, overlapping) is Ordering.INDETERMINATE
+    # an exact root is read exactly: the double 0.1 lies just above 1/10, but
+    # float(Fraction(1, 10)) == 0.1, so through the float the brackets touch
+    est = SpectralEstimate(value=0.2, residual=0.0, lo=0.1, hi=0.3, iterations=1)
+    root = CertifiedRoot(value=0.075, lo=Fraction(1, 20), hi=Fraction(1, 10))
+    assert compare_estimates(est, root) is Ordering.GREATER
+    assert compare_estimates(root, est) is Ordering.LESS
 
 
 def test_compare_mu_known_pairs():
