@@ -569,6 +569,8 @@ def pm_threshold_scan(
     """
     if n < 4 or n % 2:
         raise ParameterError(f"even order >= 4 required, got {n}")
+    if threads < 1:
+        raise ParameterError(f"need threads >= 1, got {threads}")
     t0 = time.perf_counter()
     ref_g, _, ref_root = threshold_reference(n)
     params = {"n": n, "variant": variant, "chunk": f"{chunk[0]}/{chunk[1]}"}

@@ -363,6 +363,12 @@ def test_verify_sampled_theorem11_rejects_chunks(capsys):
     assert code == 2 and "one chunk" in err
 
 
+def test_verify_theorem11_rejects_thread_counts_below_one(capsys):
+    for threads in ("0", "-2"):
+        code, out, err = run(capsys, "verify", "theorem11", "--n", "4", "--threads", threads)
+        assert code == 2 and "threads >= 1" in err and out == ""
+
+
 def test_verify_lemmas_full_defaults(capsys):
     code, payload, _ = run_json(capsys, "verify", "lemmas", "--json")
     assert code == 0

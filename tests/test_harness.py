@@ -306,6 +306,14 @@ def test_sampled_scan_rejects_chunks_and_threads():
         pm_threshold_scan(10, variant="large", trials=5, threads=2)
 
 
+def test_scan_rejects_thread_counts_below_one():
+    for threads in (0, -2):
+        with pytest.raises(ParameterError, match="threads >= 1"):
+            pm_threshold_scan(4, threads=threads)
+        with pytest.raises(ParameterError, match="threads >= 1"):
+            pm_threshold_scan(10, variant="large", trials=5, threads=threads)
+
+
 def test_probe_exploratory_finds_genuine_violations():
     # below the proven range the bound actually fails; the recorded witnesses
     # must replay as real violations, not artifacts of loose tolerances

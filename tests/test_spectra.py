@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from specmatch import (
     mu_lower_bound_wiener,
     wiener_index,
 )
+from specmatch.quotient import family_quartic_root
 
 
 def _random_connected(rng, n):
@@ -62,6 +64,41 @@ def test_distance_matrix_rejects_disconnected():
         distance_matrix(disjoint_union(complete_graph(2), complete_graph(2)))
     with pytest.raises(DisconnectedError):
         distance_matrix(empty_graph(3))
+    with pytest.raises(DisconnectedError):
+        distance_matrix(Graph(2))
+    with pytest.raises(DisconnectedError):
+        distance_matrix(disjoint_union(complete_graph(5), complete_graph(1)))
+    rng = random.Random(11)
+    for n in (3, 9, 17, 40, 64):
+        g = disjoint_union(_random_connected(rng, n - 1), complete_graph(1))
+        with pytest.raises(DisconnectedError):
+            distance_matrix(g)
+
+
+def _bfs_distances(g):
+    """Reference all-pairs distances: a plain queue BFS from every source."""
+    dist = [[-1] * g.n for _ in range(g.n)]
+    for s in range(g.n):
+        dist[s][s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in range(g.n):
+                if g.has_edge(u, v) and dist[s][v] < 0:
+                    dist[s][v] = dist[s][u] + 1
+                    queue.append(v)
+    return dist
+
+
+def test_distance_matrix_matches_per_source_bfs():
+    rng = random.Random(5)
+    graphs = [complete_graph(1), _path(64), complete_graph(64)]
+    graphs += [_random_connected(rng, n) for n in range(2, 65)]
+    for g in graphs:
+        d = distance_matrix(g)
+        assert d.dtype == np.int64
+        assert d.tolist() == _bfs_distances(g), g.n
+    assert distance_matrix(_path(64)).max() == 63
 
 
 def test_wiener_known_values():
@@ -136,11 +173,37 @@ def test_parameter_validation():
 
 
 def test_convergence_error_carries_bracket(monkeypatch):
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 2)
+    # with no steps allowed the carried bracket is the starting one: on P5 the
+    # exact floor 2W/n = 40/5 and the largest transmission 1+2+3+4
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
     with pytest.raises(ConvergenceError) as err:
         distance_spectral_radius(_path(5), tol=1e-12)
-    assert err.value.iterations == 2
-    assert err.value.lo < err.value.hi
+    assert err.value.iterations == 0
+    assert (err.value.lo, err.value.hi) == (8.0, 10.0)
+
+
+def test_brackets_contain_exact_family_roots():
+    # 294 cases: each bracket must hold the exact quartic root, and be no
+    # wider than requested; the exact root is the oracle, not a float eigvalsh
+    cases = 0
+    for k in range(1, 8):
+        for n in range(8 * k + 6, 65, 2):
+            g = extremal_family(n, k)
+            root = family_quartic_root(n, k, width=Fraction(1, 10**20))
+            for tol in (1e-8, 1e-10, 1e-12):
+                est = distance_spectral_radius(g, tol=tol)
+                assert est.lo <= root.hi and root.lo <= est.hi, (n, k, tol)
+                assert est.width <= tol, (n, k, tol)
+                cases += 1
+    assert cases == 294
+
+
+def test_long_path_converges_at_the_tightest_tolerance():
+    # P64 (diameter 63) is the slowest power iteration at n <= 64; started at
+    # the Perron vector, even its bracket closes in a few steps
+    est = distance_spectral_radius(_path(64), tol=1e-12)
+    assert est.width <= 1e-12
+    assert est.iterations <= 8
 
 
 def test_compare_estimates_orderings():
