@@ -56,6 +56,7 @@ from .spectra import (
     SpectralEstimate,
     compare_estimates,
     distance_matrix,
+    distance_spectral_radii,
     distance_spectral_radius,
     mu_lower_bound_wiener,
     wiener_index,

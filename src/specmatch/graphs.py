@@ -206,11 +206,12 @@ def barrier_family(spec: FamilySpec) -> Graph:
     Deleting the hub leaves q odd cliques, so for q >= s+2 the hub is a Tutte
     barrier and the graph has no perfect matching.
     """
-    g = complete_graph(spec.s)
-    inner = complete_graph(spec.parts[0])
-    for p in spec.parts[1:]:
-        inner = disjoint_union(inner, complete_graph(p))
-    return join(g, inner) if spec.s else inner
+    hub = (1 << spec.s) - 1
+    rows = []
+    for block in family_partition(spec):  # a hub vertex sees all, a part vertex its part and hub
+        seen = (1 << spec.n) - 1 if block[0] < spec.s else mask_from_vertices(block) | hub
+        rows += [seen ^ (1 << v) for v in block]
+    return Graph.from_rows(rows)
 
 
 def family_partition(spec: FamilySpec) -> list[list[int]]:

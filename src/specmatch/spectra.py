@@ -4,8 +4,10 @@ The spectral radius of the (nonnegative, irreducible) distance matrix is
 bracketed by Collatz-Wielandt ratios: for any positive vector x,
 min_v (Dx)_v / x_v <= mu <= max_v (Dx)_v / x_v. Power iteration started at
 the LAPACK Perron vector tightens the bracket, usually in one step, so every
-estimate carries a rigorous enclosure rather than a bare float. Comparisons
-between two graphs are decided only when the brackets separate.
+estimate carries a rigorous enclosure rather than a bare float. Graphs of one
+order are solved as one stack, since at small n numpy's per-call overhead
+outweighs the arithmetic. Comparisons between two graphs are decided only when
+the brackets separate.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -39,26 +42,31 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest path distances as an int matrix, by a BFS over all
-    sources at once: the radius-d balls grow by one matrix product per radius,
-    B_{d+1} = min(B_d (A + I), 1). Once B_D holds every vertex, d(u, v) is the
-    number of radii d < D whose ball around u misses v: D - sum_{d<D} B_d."""
-    n = g.n
-    if n < 1:
-        raise ParameterError("distance matrix needs at least one vertex")
-    width = (n + 7) // 8
-    packed = b"".join(row.to_bytes(width, "little") for row in g.rows)
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-    ball = np.eye(n)
-    closed = bits.reshape(n, 8 * width)[:, :n] + ball
-    reached = np.zeros((n, n))
-    for radius in range(n):
+def _distance_matrices(graphs: list[Graph]) -> np.ndarray:
+    """Float (m, n, n) distances of m graphs of one order n, by a BFS over all
+    sources at once: the radius-d balls grow by one stacked matrix product per
+    radius, B_{d+1} = min(B_d (A + I), 1). Once every B_D is full, d(u, v) is
+    the number of radii d < D whose ball around u misses v."""
+    n = graphs[0].n
+    rows = np.array([g.rows for g in graphs], dtype="<u8")  # n <= VERTEX_CAP = 64
+    bits = np.unpackbits(rows.view(np.uint8), bitorder="little")
+    eye = np.eye(n)
+    ball = closed = bits.reshape(len(graphs), n, 64)[:, :, :n] + eye  # B_1
+    reached = np.zeros(closed.shape)
+    reached += eye  # B_0
+    for radius in range(1, n + 1):
         if ball.all():
-            return (radius - reached).astype(np.int64)
+            return radius - reached  # D - sum_{d<D} B_d, also past a graph's own D
         reached += ball
-        np.minimum(ball @ closed, 1.0, out=ball)
-    raise DisconnectedError("vertex 0 does not reach every vertex")
+        ball = np.minimum(ball @ closed, 1.0)
+    raise DisconnectedError("some vertex does not reach every vertex")
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs shortest path distances as an int matrix (see _distance_matrices)."""
+    if g.n < 1:
+        raise ParameterError("distance matrix needs at least one vertex")
+    return _distance_matrices([g])[0].astype(np.int64)
 
 
 def wiener_index(g: Graph) -> int:
@@ -94,41 +102,59 @@ class SpectralEstimate:
 
 
 def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
-    """Power iteration with Collatz-Wielandt brackets, started at x = |v| for
-    the top eigenvector v of a dense `eigh`.
+    """The certified radius of one graph: distance_spectral_radii([g], tol)[0]."""
+    return distance_spectral_radii([g], tol)[0]
 
-    The start only sets how fast the bracket closes, not whether it holds: for
-    any positive x the per-step bracket [min ratio, max ratio] contains mu, so
-    the running intersection narrows monotonically; iteration stops when its
-    width drops to `tol`, or with ConvergenceError after MAX_ITERATIONS steps.
-    The exact 2W/n lower bound clamps the floor.
-    """
-    if g.n < 2:
-        raise ParameterError(f"spectral radius needs n >= 2, got n={g.n}")
+
+def distance_spectral_radii(
+    graphs: list[Graph], tol: float = DEFAULT_TOL
+) -> list[SpectralEstimate]:
+    """One estimate per graph of one order n >= 2, from one stacked BFS and
+    `eigh`: power iteration from x = |v| for the top eigenvector v of each
+    distance matrix, keeping the running intersection of Collatz-Wielandt
+    brackets above the exact 2W/n floor. A graph stops stepping once its width
+    drops to `tol`, so it gets the estimate it gets alone; one still wider
+    after MAX_ITERATIONS steps raises ConvergenceError with its bracket."""
+    n = graphs[0].n if graphs else 0
+    if n < 2 or any(g.n != n for g in graphs):
+        raise ParameterError(f"need graphs of one order n >= 2, got orders {[g.n for g in graphs]}")
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
-    dist = distance_matrix(g).astype(np.float64)
-    # 2W/n is exact here: distances are small ints, the sum is exact in binary
-    wiener_floor = float(Fraction(int(dist.sum()), g.n))
-    x = np.abs(np.linalg.eigh(dist)[1][:, -1])
-    lo = wiener_floor
-    hi = float(dist.sum(axis=1).max())
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
+    dist = _distance_matrices(graphs)
+    row_sums = dist.sum(axis=2, keepdims=True)
+    # (m, 1, 1) brackets; IEEE division of exact ints gives float(Fraction(2W, n))
+    lo = row_sums.sum(axis=1, keepdims=True) / n
+    hi = row_sums.max(axis=1, keepdims=True)
+    x = np.abs(np.linalg.eigh(dist)[1][..., -1:])
+    estimates: list[SpectralEstimate] = [None] * len(graphs)
+    live = range(len(graphs))  # the graphs still stepping, whose rows dist, x, lo, hi hold
+    for steps in range(1, MAX_ITERATIONS + 1):
         y = dist @ x
-        iterations += 1
         ratios = y / x
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
-        x = y / np.linalg.norm(y)
-        if hi - lo <= tol:
-            break
-    else:
-        raise ConvergenceError(lo, hi, iterations)
+        np.maximum(lo, ratios.min(axis=1, keepdims=True), out=lo)
+        np.minimum(hi, ratios.max(axis=1, keepdims=True), out=hi)
+        # a stacked matmul rounds each dot product as the 1-D `a @ b` does
+        x = y / np.sqrt(y.transpose(0, 2, 1) @ y)
+        busy = [width > tol for width in (hi - lo).ravel().tolist()]
+        if not any(busy):
+            _finish(estimates, live, dist, x, lo, hi, steps)
+            return estimates
+        if not all(busy):
+            done = [not b for b in busy]
+            _finish(estimates, compress(live, done), dist[done], x[done], lo[done], hi[done], steps)
+            live = list(compress(live, busy))
+            dist, x, lo, hi = dist[busy], x[busy], lo[busy], hi[busy]
+    raise ConvergenceError(float(lo[0, 0, 0]), float(hi[0, 0, 0]), MAX_ITERATIONS)
+
+
+def _finish(estimates: list, live, dist, x, lo, hi, iterations: int) -> None:
+    """Write the estimates of the graphs `live`, which stopped together."""
     dx = dist @ x
-    value = min(max(float(x @ dx), lo), hi)
-    residual = float(np.abs(dx - value * x).max())
-    return SpectralEstimate(value=value, residual=residual, lo=lo, hi=hi, iterations=iterations)
+    value = np.minimum(np.maximum(x.transpose(0, 2, 1) @ dx, lo), hi)
+    residual = np.abs(dx - value * x).max(axis=1)
+    columns = (c.ravel().tolist() for c in (value, residual, lo, hi))
+    for i, v, r, a, b in zip(live, *columns):
+        estimates[i] = SpectralEstimate(v, r, a, b, iterations)
 
 
 class Ordering(enum.Enum):

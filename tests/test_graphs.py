@@ -152,6 +152,31 @@ def test_extremal_family_shape():
     assert odd_components(h, 0b11) == 4
 
 
+def test_barrier_family_rows_match_joined_cliques():
+    # rows written directly against the public join / union / clique chain
+    from specmatch.harness import _random_ordering_spec
+
+    def reference(spec):
+        inner = complete_graph(spec.parts[0])
+        for p in spec.parts[1:]:
+            inner = disjoint_union(inner, complete_graph(p))
+        return join(complete_graph(spec.s), inner) if spec.s else inner
+
+    rng = random.Random(3)
+    specs = [_random_ordering_spec(rng) for _ in range(500)]
+    specs += [
+        FamilySpec(n, k, (1,) * k + (3, n - 2 * k - 3))
+        for k in range(1, 8)
+        for n in range(2 * k + 6, 65, 2)
+    ]
+    specs += [FamilySpec(1, 0, (1,)), FamilySpec(9, 0, (1, 3, 5)), FamilySpec(64, 0, (1, 63))]
+    for spec in specs:
+        assert barrier_family(spec).rows == reference(spec).rows, spec
+    assert barrier_family(specs[500]) == extremal_family(8, 1)
+    with pytest.raises(CapacityError):
+        barrier_family(FamilySpec(65, 2, (1, 1, 61)))
+
+
 def test_extremal_family_validation():
     with pytest.raises(ParameterError):
         extremal_family(13, 1)

@@ -22,6 +22,7 @@ from specmatch import (
     complete_graph,
     disjoint_union,
     distance_matrix,
+    distance_spectral_radii,
     distance_spectral_radius,
     empty_graph,
     extremal_family,
@@ -180,6 +181,87 @@ def test_convergence_error_carries_bracket(monkeypatch):
         distance_spectral_radius(_path(5), tol=1e-12)
     assert err.value.iterations == 0
     assert (err.value.lo, err.value.hi) == (8.0, 10.0)
+
+
+def _fields(est):
+    return (est.value, est.lo, est.hi, est.iterations, est.residual)
+
+
+def _reference_fields(g, tol):
+    """The same certificate for one graph as a plain loop over Python floats."""
+    dist = distance_matrix(g).astype(float)
+    lo = float(Fraction(int(dist.sum()), g.n))
+    hi = float(dist.sum(axis=1).max())
+    x = np.abs(np.linalg.eigh(dist)[1][:, -1])
+    iterations = 0
+    while True:
+        y = dist @ x
+        iterations += 1
+        lo = max(lo, float((y / x).min()))
+        hi = min(hi, float((y / x).max()))
+        x = y / np.linalg.norm(y)
+        if hi - lo <= tol:
+            break
+    dx = dist @ x
+    value = min(max(float(x @ dx), lo), hi)
+    return (value, lo, hi, iterations, float(np.abs(dx - value * x).max()))
+
+
+def test_stacked_radii_equal_single_solves():
+    # one stacked solve gives each graph exactly the estimate it gets alone,
+    # and both round exactly as the one-graph loop does
+    rng = random.Random(17)
+    for n in range(2, 41):
+        graphs = [_random_connected(rng, n) for _ in range(6)]
+        for tol in (1e-8, 1e-12):
+            stacked = [_fields(e) for e in distance_spectral_radii(graphs, tol)]
+            assert stacked == [_fields(distance_spectral_radius(g, tol)) for g in graphs]
+            assert stacked == [_reference_fields(g, tol) for g in graphs], (n, tol)
+
+
+def test_stack_mixing_fast_and_slow_convergers():
+    # long paths need several steps at 1e-12 while K_n stops after one; a
+    # graph that has converged must not be stepped again
+    rng = random.Random(23)
+    steps = set()
+    for n in (34, 37, 38, 40, 64):
+        graphs = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n), _path(n)]
+        graphs += [_random_connected(rng, n) for _ in range(4)]
+        stacked = distance_spectral_radii(graphs, 1e-12)
+        assert [_fields(e) for e in stacked] == [_reference_fields(g, 1e-12) for g in graphs], n
+        assert [_fields(e) for e in stacked] == [
+            _fields(distance_spectral_radius(g, 1e-12)) for g in graphs
+        ], n
+        assert stacked[0].iterations == 1 < stacked[1].iterations, n
+        steps |= {e.iterations for e in stacked}
+    assert len(steps) >= 3
+
+
+def test_stacked_radii_reject_bad_input(monkeypatch):
+    with pytest.raises(ParameterError):
+        distance_spectral_radii([])
+    with pytest.raises(ParameterError):
+        distance_spectral_radii([_path(4), _path(5)])
+    with pytest.raises(ParameterError):
+        distance_spectral_radii([complete_graph(1), complete_graph(1)])
+    with pytest.raises(ParameterError):
+        distance_spectral_radii([_path(4)], tol=float("nan"))
+    with pytest.raises(DisconnectedError):
+        distance_spectral_radii([_path(5), disjoint_union(complete_graph(2), complete_graph(3))])
+    # the error carries the first straggler's bracket: with no steps allowed,
+    # P5's starting bracket; with one step, that of P37 behind a converged K37
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError) as err:
+        distance_spectral_radii([_path(5), complete_graph(5)], tol=1e-12)
+    assert (err.value.lo, err.value.hi, err.value.iterations) == (8.0, 10.0, 0)
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError) as alone:
+        distance_spectral_radius(_path(37), tol=1e-12)
+    with pytest.raises(ConvergenceError) as err:
+        distance_spectral_radii([complete_graph(37), _path(37), _path(37)], tol=1e-12)
+    assert (err.value.lo, err.value.hi, err.value.iterations) == (
+        alone.value.lo, alone.value.hi, 1
+    )
 
 
 def test_brackets_contain_exact_family_roots():
