@@ -46,7 +46,6 @@ from .spectra import (
     DisconnectedError,
     distance_matrix,
     distance_spectral_radius,
-    wiener_index,
 )
 
 SCHEMA_VERSION = 1
@@ -161,7 +160,7 @@ def _cmd_proof_family(args) -> int:
 def _cmd_spectra(args) -> int:
     g = _load_graph(args)
     est = distance_spectral_radius(g, args.tol)
-    wiener = wiener_index(g)
+    wiener = est.wiener
     bound = Fraction(2 * wiener, g.n)
     result = {
         "order": g.n,

@@ -10,6 +10,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 VERTEX_CAP = 64
 
 
@@ -47,6 +49,14 @@ def vertices_from_mask(mask: int) -> list[int]:
     return list(_iter_bits(mask))
 
 
+def _adjacency_matrices(graphs: list["Graph"]) -> np.ndarray:
+    """0/1 uint8 adjacency matrices, shape (m, n, n), of m graphs of one order n."""
+    n = graphs[0].n
+    rows = np.array([g.rows for g in graphs], dtype="<u8").reshape(len(graphs), n)
+    bits = np.unpackbits(rows.view(np.uint8), bitorder="little")  # n <= VERTEX_CAP = 64
+    return bits.reshape(len(graphs), n, 64)[:, :, :n]
+
+
 class Graph:
     """Immutable simple graph; adjacency stored as one n-bit row per vertex."""
 
@@ -82,9 +92,11 @@ class Graph:
                 raise ParameterError(f"row {v} has bits beyond n={g.n}")
             if row >> v & 1:
                 raise ParameterError(f"loop at vertex {v}")
-            for u in _iter_bits(row):
-                if not rows[u] >> v & 1:
-                    raise ParameterError(f"asymmetric adjacency at ({v},{u})")
+        a = _adjacency_matrices([g])[0]
+        asymmetric = np.flatnonzero(a > a.T)  # row-major: the first v, then its first u
+        if asymmetric.size:
+            v, u = divmod(int(asymmetric[0]), g.n)
+            raise ParameterError(f"asymmetric adjacency at ({v},{u})")
         return g
 
     @property
@@ -270,8 +282,10 @@ def components(g: Graph, excluded: int = 0) -> list[int]:
         while frontier:
             comp |= frontier
             grown = 0
-            for v in _iter_bits(frontier):
-                grown |= rows[v]
+            while frontier:
+                low = frontier & -frontier
+                grown |= rows[low.bit_length() - 1]
+                frontier ^= low
             frontier = grown & avail & ~comp
         comps.append(comp)
         avail &= ~comp
@@ -288,8 +302,10 @@ def is_connected(g: Graph, excluded: int = 0) -> bool:
     while frontier:
         comp |= frontier
         grown = 0
-        for v in _iter_bits(frontier):
-            grown |= rows[v]
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & avail & ~comp
     return comp == avail
 

@@ -36,6 +36,7 @@ from .graphs import (
     is_k_connected,
     join,
     matches_clique_join,
+    odd_components,
     parse_graph6,
     write_graph6,
 )
@@ -285,9 +286,8 @@ def verify_extremal_family(
     report.extras["quartic_root"] = [root.value, float(root.lo), float(root.hi)]
     _record(report, _check_quartic_agreement(g, k, tol, est, root))
 
-    wiener = wiener_index(g)
-    _record(report, _check_wiener_closed_form(g, k, wiener))
-    _record(report, _check_radius_floor(g, k, wiener, root))
+    _record(report, _check_wiener_closed_form(g, k, est.wiener))
+    _record(report, _check_radius_floor(g, k, est.wiener, root))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -654,27 +654,11 @@ def _random_odd_parts(rng: random.Random, total: int, q: int, max_ones: int) -> 
     return None
 
 
-def _random_part_subgraph(rng: random.Random, size: int, base: int) -> list[tuple[int, int]]:
-    # random spanning tree plus density-p extras keeps each part connected
-    edges = []
-    order = list(range(size))
-    rng.shuffle(order)
-    for i in range(1, size):
-        j = rng.randrange(i)
-        edges.append((base + order[i], base + order[j]))
-    p = rng.uniform(0.3, 0.9)
-    present = {tuple(sorted(e)) for e in edges}
-    for u, v in itertools.combinations(range(size), 2):
-        e = (base + u, base + v)
-        if e not in present and rng.random() < p:
-            edges.append(e)
-    return edges
-
-
-def _random_barrier_graph(rng: random.Random, n: int, k: int) -> Graph | None:
-    """Random graph built around a Tutte barrier S of size s >= k: the s+2 odd
-    parts make a perfect matching impossible while the (usually universal)
-    hub keeps the graph k-connected with a fractional matching plausible."""
+def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, int] | None:
+    """(G, S) for a random G built around a Tutte barrier S, a mask of s >= k
+    vertices: the s+2 odd parts, each a random spanning tree plus extras, make
+    a perfect matching impossible while the (usually universal) hub keeps G
+    k-connected with a fractional matching plausible."""
     s_cap = (n - 6) // 2
     roll = rng.random()
     s = k if roll < 0.6 or k + 1 > s_cap else (k + 1 if roll < 0.85 or k + 2 > s_cap else k + 2)
@@ -684,21 +668,33 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> Graph | None:
     parts = _random_odd_parts(rng, n - s, q, max_ones=s)
     if parts is None:
         return None
-    edges = []
+    rows = [0] * n
     hub_p = rng.uniform(0.5, 1.0)
     for u, v in itertools.combinations(range(s), 2):
         if rng.random() < hub_p:
-            edges.append((u, v))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     base = s
     for size in parts:
-        edges.extend(_random_part_subgraph(rng, size, base))
+        order = list(range(base, base + size))
+        rng.shuffle(order)
+        for i in range(1, size):
+            u, v = order[i], order[rng.randrange(i)]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        p = rng.uniform(0.3, 0.9)
+        for u, v in itertools.combinations(range(base, base + size), 2):
+            if not rows[u] >> v & 1 and rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
         base += size
     drop_cross = rng.random() < 0.25
     for u in range(s):
         for v in range(s, n):
             if not drop_cross or rng.random() < 0.9:
-                edges.append((u, v))
-    return Graph(n, edges)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph.from_rows(rows), (1 << s) - 1
 
 
 def check_probe_sample(
@@ -739,10 +735,12 @@ def probe_extremal_bound(
     """Sample k-connected even-order graphs with a fractional but no perfect
     matching and assert each has radius strictly above the threshold graph.
 
-    Samples come from randomized barrier templates and are only counted after
-    the three hypotheses are re-verified. With exploratory=True, orders below
-    the proven range 8k+6 are admitted and failures are expected to be
-    possible; the report is flagged accordingly.
+    Samples come from randomized barrier templates and are counted once the
+    three hypotheses hold. No perfect matching is proved by the template's
+    Tutte set, the hub S with o(G-S) >= |S|+2, and the blossom decides only
+    when S does not certify. With exploratory=True, orders below the proven
+    range 8k+6 are admitted and failures are expected to be possible; the
+    report is flagged accordingly.
     """
     if k < 1 or n % 2 or n < 2 * k + 6:
         raise ParameterError(f"need even n >= 2k+6 and k >= 1, got n={n}, k={k}")
@@ -771,14 +769,15 @@ def probe_extremal_bound(
                 f"({report.cases}/{trials} valid samples)"
             )
         attempts += 1
-        g = _random_barrier_graph(rng, n, k)
-        if g is None:
+        sample = _random_barrier_graph(rng, n, k)
+        if sample is None:
             rejected["template"] += 1
             continue
+        g, hub = sample
         if not is_k_connected(g, k):
             rejected["connectivity"] += 1
             continue
-        if has_perfect_matching(g):
+        if odd_components(g, hub) < hub.bit_count() + 2 and has_perfect_matching(g):
             rejected["perfect"] += 1
             continue
         if not has_fractional_pm(g):
@@ -822,7 +821,7 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> S
 
 def _check_wiener_bound(g: Graph, tol: float, est=None) -> dict | None:
     est = distance_spectral_radius(g, tol) if est is None else est
-    if est.value >= float(mu_lower_bound_wiener(g)) - tol:
+    if est.value >= 2 * est.wiener / g.n - tol:  # 2W/n correctly rounded
         return None
     return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n, tol=tol)
 

@@ -259,23 +259,28 @@ def tutte_certificate(g: Graph, matching: Matching | None = None) -> TutteCertif
 def _cover_matching(g: Graph) -> list[int]:
     """Maximum matching of the double cover (left u -- right v iff uv in E), Kuhn's algorithm."""
     n = g.n
+    rows = g.rows
     match_right = [-1] * n  # right vertex -> left vertex
     match_left = [-1] * n
+    visited = 0  # right vertices seen by the current search
 
-    def try_augment(v: int, visited: list[bool]) -> bool:
-        for u in _iter_bits(g.rows[v]):
-            if not visited[u]:
-                visited[u] = True
-                if match_right[u] == -1 or try_augment(match_right[u], visited):
-                    match_right[u] = v
-                    match_left[v] = u
-                    return True
+    def try_augment(v: int) -> bool:
+        nonlocal visited
+        while free := rows[v] & ~visited:  # unvisited neighbours in increasing order
+            low = free & -free
+            visited |= low
+            u = low.bit_length() - 1
+            if match_right[u] == -1 or try_augment(match_right[u]):
+                match_right[u] = v
+                match_left[v] = u
+                return True
         return False
 
     order = sorted(range(n), key=g.degree)
     for v in order:
         if match_left[v] == -1:
-            try_augment(v, [False] * n)
+            visited = 0
+            try_augment(v)
     return match_left
 
 

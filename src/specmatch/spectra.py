@@ -19,7 +19,7 @@ from itertools import compress
 
 import numpy as np
 
-from .graphs import Graph, ParameterError
+from .graphs import Graph, ParameterError, _adjacency_matrices
 
 MIN_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -48,10 +48,8 @@ def _distance_matrices(graphs: list[Graph]) -> np.ndarray:
     radius, B_{d+1} = min(B_d (A + I), 1). Once every B_D is full, d(u, v) is
     the number of radii d < D whose ball around u misses v."""
     n = graphs[0].n
-    rows = np.array([g.rows for g in graphs], dtype="<u8")  # n <= VERTEX_CAP = 64
-    bits = np.unpackbits(rows.view(np.uint8), bitorder="little")
     eye = np.eye(n)
-    ball = closed = bits.reshape(len(graphs), n, 64)[:, :, :n] + eye  # B_1
+    ball = closed = _adjacency_matrices(graphs) + eye  # B_1
     reached = np.zeros(closed.shape)
     reached += eye  # B_0
     for radius in range(1, n + 1):
@@ -87,7 +85,8 @@ class SpectralEstimate:
 
     `lo <= mu <= hi` holds exactly (up to float rounding of the ratio
     computations); `value` is the Rayleigh quotient of the final iterate and
-    `residual` its infinity-norm eigen-residual.
+    `residual` its infinity-norm eigen-residual. `wiener` is the exact Wiener
+    index of the distance matrix solved (None on a bracket built by hand).
     """
 
     value: float
@@ -95,6 +94,7 @@ class SpectralEstimate:
     lo: float
     hi: float
     iterations: int
+    wiener: int | None = None
 
     @property
     def width(self) -> float:
@@ -115,9 +115,11 @@ def distance_spectral_radii(
     brackets above the exact 2W/n floor. A graph stops stepping once its width
     drops to `tol`, so it gets the estimate it gets alone; one still wider
     after MAX_ITERATIONS steps raises ConvergenceError with its bracket."""
-    n = graphs[0].n if graphs else 0
-    if n < 2 or any(g.n != n for g in graphs):
-        raise ParameterError(f"need graphs of one order n >= 2, got orders {[g.n for g in graphs]}")
+    if not graphs or any(g.n != graphs[0].n for g in graphs):
+        raise ParameterError(f"need graphs of one order, got orders {[g.n for g in graphs]}")
+    n = graphs[0].n
+    if n < 2:
+        raise ParameterError(f"distance spectral radius needs order n >= 2, got order {n}")
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
     dist = _distance_matrices(graphs)
@@ -152,9 +154,9 @@ def _finish(estimates: list, live, dist, x, lo, hi, iterations: int) -> None:
     dx = dist @ x
     value = np.minimum(np.maximum(x.transpose(0, 2, 1) @ dx, lo), hi)
     residual = np.abs(dx - value * x).max(axis=1)
-    columns = (c.ravel().tolist() for c in (value, residual, lo, hi))
-    for i, v, r, a, b in zip(live, *columns):
-        estimates[i] = SpectralEstimate(v, r, a, b, iterations)
+    columns = (c.ravel().tolist() for c in (value, residual, lo, hi, dist.sum(axis=(1, 2))))
+    for i, v, r, a, b, twice_wiener in zip(live, *columns):
+        estimates[i] = SpectralEstimate(v, r, a, b, iterations, int(twice_wiener) // 2)
 
 
 class Ordering(enum.Enum):

@@ -122,6 +122,9 @@ def test_spectra_error_paths(tmp_path, capsys):
     # disconnected input has no finite distance matrix
     code, _, err = run(capsys, "spectra", "--g6", "C?")
     assert code == 2 and "error:" in err
+    # a one-vertex graph: the message names its order, not a list of orders
+    code, _, err = run(capsys, "spectra", "--g6", "@")
+    assert code == 2 and "got order 1" in err and "[" not in err
     code, _, _ = run(capsys, "spectra", "--edges", "/nonexistent/path.txt")
     assert code == 2
     code, _, err = run(capsys, "spectra", "--edges", str(tmp_path))

@@ -83,6 +83,38 @@ def test_construction_validation():
         Graph.from_rows([0b010, 0b000, 0b000])  # asymmetric
 
 
+def _first_asymmetric_pair(rows):
+    # the per-bit scan that from_rows replaced: first (v, u) in row-major order
+    for v, row in enumerate(rows):
+        for u in range(len(rows)):
+            if row >> u & 1 and not rows[u] >> v & 1:
+                return (v, u)
+    return None
+
+
+def test_from_rows_names_the_first_asymmetric_pair():
+    rng = random.Random(11)
+    for n in range(1, 65):
+        rows = list(_random_graph(rng, n, rng.random()).rows)
+        assert Graph.from_rows(rows).rows == tuple(rows)
+        for _ in range(4 if n > 1 else 0):
+            v, u = rng.sample(range(n), 2)
+            bent = list(rows)
+            bent[v] ^= 1 << u  # one bit flipped leaves (v, u) or (u, v) one-sided
+            with pytest.raises(ParameterError) as err:
+                Graph.from_rows(bent)
+            assert str(err.value) == "asymmetric adjacency at ({},{})".format(
+                *_first_asymmetric_pair(bent)
+            )
+        with pytest.raises(ParameterError, match="beyond"):
+            Graph.from_rows(rows[:-1] + [rows[-1] | 1 << n])
+        loop = rng.randrange(n)
+        with pytest.raises(ParameterError, match=f"loop at vertex {loop}"):
+            Graph.from_rows(rows[:loop] + [rows[loop] | 1 << loop] + rows[loop + 1:])
+    with pytest.raises(ParameterError, match="beyond"):
+        Graph.from_rows([-1, 0])
+
+
 def test_add_edge_returns_new_graph():
     g = Graph(3, [(0, 1)])
     h = g.add_edge(1, 2)

@@ -1,5 +1,6 @@
 """Verification suites: references, scans, probes, identities, and replay."""
 
+import hashlib
 import math
 import random
 
@@ -15,11 +16,14 @@ from specmatch import (
     empty_graph,
     enumerate_graphs,
     extremal_family,
+    has_fractional_pm_exhaustive,
     has_perfect_matching,
     identity_suite,
     is_connected,
+    is_k_connected,
     join,
     lemma_suites,
+    odd_components,
     parse_graph6,
     pm_threshold_scan,
     probe_extremal_bound,
@@ -30,6 +34,7 @@ from specmatch import (
     verify_ordering_chain,
     write_graph6,
 )
+import specmatch.harness as harness
 from specmatch.harness import CHECKS, check_probe_sample
 from specmatch.quotient import family_quartic_root, largest_root
 
@@ -278,6 +283,81 @@ def test_probe_within_proven_range():
         "template", "connectivity", "fractional", "perfect",
     }
     assert "exploratory" not in report.extras
+
+
+# sha256 of the graph6 strings of the first 200 draws for seeds 0-2, recorded
+# from the edge-list sampler that the bit-row one replaced
+SAMPLER_DIGESTS = {
+    (14, 1): "be6fdce70a23a6956b28f8a87fa87d2ef4472a146af323e04a1c97510c1e82be",
+    (22, 2): "ec62d9659efb63975b00b4d4a52227f85fc5b15506ee4ef3cf7ad393058d2fe4",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SAMPLER_DIGESTS))
+def test_barrier_sampler_draws_are_frozen(n, k):
+    lines = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(200):
+            sample = harness._random_barrier_graph(rng, n, k)
+            if sample is None:
+                lines.append("-")
+                continue
+            g, hub = sample
+            lines.append(write_graph6(g))
+            # the hub is a Tutte set of the sample: vertices 0..s-1, s >= k
+            assert hub == (1 << hub.bit_count()) - 1 and hub.bit_count() >= k
+            assert odd_components(g, hub) >= hub.bit_count() + 2
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_DIGESTS[n, k]
+
+
+def test_probe_accepts_only_samples_meeting_the_hypotheses(monkeypatch):
+    accepted = []
+
+    def collect(g, *args, **kwargs):
+        accepted.append(g)
+        return check_probe_sample(g, *args, **kwargs)
+
+    blossom_calls = []
+    monkeypatch.setattr(harness, "check_probe_sample", collect)
+    monkeypatch.setattr(harness, "has_perfect_matching", blossom_calls.append)
+    report = probe_extremal_bound(14, 1, 300, seed=4)
+    assert report.passed and len(accepted) == report.cases == 300
+    assert blossom_calls == []  # every template hub certified its sample
+    for g in accepted:
+        assert not has_perfect_matching(g)
+        assert is_k_connected(g, 1)
+    # the exhaustive oracle costs about 40 ms a graph at n = 14
+    for g in accepted[::10]:
+        assert has_fractional_pm_exhaustive(g)
+
+
+def test_probe_asks_the_blossom_when_the_hub_does_not_certify(monkeypatch):
+    # hand the probe an empty hub: the blossom must decide every sample, and
+    # the K_14 slipped in every third draw has a perfect matching
+    draw = harness._random_barrier_graph
+    draws = 0
+    blossom_calls = []
+
+    def no_barrier(rng, n, k):
+        nonlocal draws
+        draws += 1
+        if draws % 3 == 0:
+            return complete_graph(n), 0
+        sample = draw(rng, n, k)
+        return None if sample is None else (sample[0], 0)
+
+    def blossom(g):
+        blossom_calls.append(g)
+        return has_perfect_matching(g)
+
+    monkeypatch.setattr(harness, "_random_barrier_graph", no_barrier)
+    monkeypatch.setattr(harness, "has_perfect_matching", blossom)
+    report = probe_extremal_bound(14, 1, 40, seed=6)
+    assert report.passed and report.cases == 40
+    assert report.extras["rejected"]["perfect"] == draws // 3 > 0
+    templated = draws - report.extras["rejected"]["template"]
+    assert len(blossom_calls) == templated - report.extras["rejected"]["connectivity"]
 
 
 def test_probe_validation():

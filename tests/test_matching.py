@@ -25,7 +25,9 @@ from specmatch import (
     odd_components,
     tutte_certificate,
     tutte_deficiency_bruteforce,
+    write_graph6,
 )
+from specmatch.matching import _cover_matching
 
 
 def _random_graph(rng, n, p):
@@ -220,6 +222,36 @@ def test_fractional_against_exhaustive_oracle():
         else:
             assert witness is None
             assert isolated_count(g, violating) > violating.bit_count()
+
+
+def _kuhn_reference(g):
+    # plain Kuhn on the double cover: visited list, neighbours in increasing order
+    match_right = [-1] * g.n
+    match_left = [-1] * g.n
+
+    def try_augment(v, visited):
+        for u in range(g.n):
+            if g.has_edge(v, u) and not visited[u]:
+                visited[u] = True
+                if match_right[u] == -1 or try_augment(match_right[u], visited):
+                    match_right[u] = v
+                    match_left[v] = u
+                    return True
+        return False
+
+    for v in sorted(range(g.n), key=g.degree):
+        if match_left[v] == -1:
+            try_augment(v, [False] * g.n)
+    return match_left
+
+
+def test_cover_matching_equals_plain_kuhn():
+    rng = random.Random(53)
+    graphs = [complete_graph(n) for n in range(31)] + [empty_graph(n) for n in range(31)]
+    for n in range(31):
+        graphs += [_random_graph(rng, n, rng.uniform(0.05, 0.6)) for _ in range(8)]
+    for g in graphs:
+        assert _cover_matching(g) == _kuhn_reference(g), write_graph6(g)
 
 
 def test_witness_rejects_wrong_graph():

@@ -214,7 +214,9 @@ def test_stacked_radii_equal_single_solves():
     for n in range(2, 41):
         graphs = [_random_connected(rng, n) for _ in range(6)]
         for tol in (1e-8, 1e-12):
-            stacked = [_fields(e) for e in distance_spectral_radii(graphs, tol)]
+            estimates = distance_spectral_radii(graphs, tol)
+            assert [e.wiener for e in estimates] == [wiener_index(g) for g in graphs]
+            stacked = [_fields(e) for e in estimates]
             assert stacked == [_fields(distance_spectral_radius(g, tol)) for g in graphs]
             assert stacked == [_reference_fields(g, tol) for g in graphs], (n, tol)
 
