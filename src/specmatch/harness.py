@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -513,10 +514,18 @@ def _scan_range(
     progress: Callable[[int, int], None] | None = None,
 ) -> dict:
     """Scan edge-set masks in [start, stop); table-lookup prefilters, then
-    the threshold-order chain for the connected no-matching survivors."""
+    the threshold-order chain for the connected no-matching survivors.
+
+    A mask is (high << (2n-3)) + low, with high the inner graph on {2..n-1}
+    and low the 2n-3 pairs that touch {0, 1} (see _scan_tables). The range
+    is walked in blocks of whole table rows, one row per high value and one
+    column per low value, so each prefilter is a row gather broadcast
+    against the low tables. Only a range that starts or stops mid-row masks
+    the part of its first or last row outside [start, stop)."""
     pairs = list(itertools.combinations(range(n), 2))
     partition, connected_table, partners, matchable, high_edges, low_edges = _scan_tables(n)
     low_bits = 2 * n - 3
+    block_rows = 1 << (_BLOCK_BITS - low_bits)
 
     counts = {
         "connected": 0,
@@ -525,29 +534,26 @@ def _scan_range(
         **dict.fromkeys(_FUNNEL_KEYS, 0),
     }
     violations: list[dict] = []
-    block_size = 1 << _BLOCK_BITS
-    done = 0
-    for first in range(start, stop, block_size):
-        last = min(first + block_size, stop)
-        block = np.arange(first, last, dtype=np.int64)
-        high = block >> low_bits
-        low = block & ((1 << low_bits) - 1)
-        connected = connected_table[partition[high], low]
-        has_pm = (partners[low] & matchable[high]) != 0
-        medges = high_edges[high] + low_edges[low]
-        interesting = connected & ~has_pm
-        certified = interesting & (medges <= m_max)
-        counts["connected"] += int(connected.sum())
-        counts["no_pm_connected"] += int(interesting.sum())
-        counts["wiener_mask_pruned"] += int(certified.sum())
-        for i in np.nonzero(interesting & (medges > m_max))[0]:
-            g = _graph_from_mask(n, int(block[i]), pairs)
+    row_stop = -(-stop >> low_bits)
+    for h0 in range(start >> low_bits, row_stop, block_rows):
+        highs = np.arange(h0, min(h0 + block_rows, row_stop))
+        connected = connected_table[partition[highs]]
+        base = h0 << low_bits
+        connected.reshape(-1)[: max(start - base, 0)] = False
+        connected.reshape(-1)[stop - base :] = False
+        interesting = connected & ((partners & matchable[highs, None]) == 0)
+        heavy = interesting & (high_edges[highs, None] + low_edges > m_max)
+        no_pm, survivors = int(np.count_nonzero(interesting)), int(np.count_nonzero(heavy))
+        counts["connected"] += int(np.count_nonzero(connected))
+        counts["no_pm_connected"] += no_pm
+        counts["wiener_mask_pruned"] += no_pm - survivors
+        for i in np.flatnonzero(heavy) if survivors else ():
+            g = _graph_from_mask(n, base + int(i), pairs)
             violation = _check_threshold_order(g, n, ref=ref, counts=counts, admitted=True)
             if violation is not None:
                 violations.append(violation)
-        done += last - first
         if progress is not None:
-            progress(done, stop - start)
+            progress(min((h0 + highs.size) << low_bits, stop) - start, stop - start)
     counts["violations"] = violations
     return counts
 
@@ -597,7 +603,8 @@ def pm_threshold_scan(
                 for i in range(threads)
                 if edges[i] < edges[i + 1]
             ]
-            with mp.get_context("fork").Pool(len(args)) as pool:
+            workers = min(len(args), len(os.sched_getaffinity(0)))
+            with mp.get_context("fork").Pool(workers) as pool:
                 results = pool.starmap(_scan_range, args)
         else:
             results = [_scan_range(n, start, stop, ref_root, m_max, progress)]

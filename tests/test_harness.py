@@ -1,9 +1,14 @@
 """Verification suites: references, scans, probes, identities, and replay."""
 
 import hashlib
+import itertools
+import json
 import math
+import multiprocessing
+import os
 import random
 
+import numpy as np
 import pytest
 
 from specmatch import (
@@ -247,11 +252,65 @@ def test_scan_n8_ranges_across_table_rows_match_per_graph_counts():
 
 
 def test_scan_threads_give_the_single_process_report():
-    # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs
+    # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs; two
+    # threads split on a table row boundary, three split mid-row
     for n, chunk in ((6, (0, 1)), (8, (15, 1024))):
         single = pm_threshold_scan(n, chunk=chunk, threads=1)
-        forked = pm_threshold_scan(n, chunk=chunk, threads=2)
-        assert forked.to_dict(include_timing=False) == single.to_dict(include_timing=False)
+        for threads in (2, 3):
+            forked = pm_threshold_scan(n, chunk=chunk, threads=threads)
+            assert forked.to_dict(include_timing=False) == single.to_dict(include_timing=False)
+
+
+def test_scan_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    # an in-process stand-in for the fork pool records its size and runs
+    # every range here, so no worker process is started
+    sizes, ranges = [], []
+
+    class InlinePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            ranges.append(len(args))
+            return list(itertools.starmap(fn, args))
+
+    class InlineContext:
+        Pool = InlinePool
+
+    single = pm_threshold_scan(6, threads=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext())
+    report = pm_threshold_scan(6, threads=1000)
+    assert sizes == [2] and ranges == [1000]
+    assert report.to_dict(include_timing=False) == single.to_dict(include_timing=False)
+
+
+def test_scan_progress_counts_up_to_the_masks_scanned():
+    # a ~1000-mask n=8 range that straddles the table row 5 << 13
+    straddling = ((5 << 13) * 268435 >> 28, 268435)
+    runs = [(6, (i, 7)) for i in range(7)] + [(8, (15, 1024)), (8, straddling)]
+    for n, chunk in runs:
+        calls = []
+        report = pm_threshold_scan(n, chunk=chunk, progress=lambda *a: calls.append(a))
+        scanned = report.extras["masks_scanned"]
+        done = [d for d, _ in calls]
+        assert calls and all(total == scanned for _, total in calls)
+        assert done == sorted(done) and done[-1] == scanned
+
+
+def test_scan_extras_are_plain_json_numbers():
+    for n, chunk in ((4, (0, 1)), (6, (0, 1)), (8, (15, 1024))):
+        report = pm_threshold_scan(n, chunk=chunk)
+        numbers = [v for v in report.extras.values() if isinstance(v, (int, np.integer))]
+        assert numbers and all(type(v) is int for v in numbers)
+        assert type(report.cases) is int
+        json.dumps(report.to_dict())
 
 
 def test_scan_large_variant():
