@@ -58,7 +58,6 @@ from .spectra import (
     distance_matrix,
     distance_spectral_radii,
     distance_spectral_radius,
-    mu_lower_bound_wiener,
     wiener_index,
 )
 from .quotient import (

@@ -287,13 +287,7 @@ def _cmd_verify(args) -> int:
             raise ParameterError("verify theorem11 requires --n")
         progress = None if args.json else _progress_printer()
         report = harness.pm_threshold_scan(
-            args.n,
-            variant=args.variant,
-            trials=args.trials,
-            seed=args.seed,
-            chunk=chunk,
-            threads=args.threads,
-            progress=progress,
+            args.n, chunk=chunk, threads=args.threads, progress=progress
         )
     elif target == "theorem13-family":
         if args.n is None or args.k is None:
@@ -426,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--chunk", help="'index/count' slice of an exhaustive scan")
-    p.add_argument("--variant", choices=("small", "large"), default="small")
     p.add_argument("--exploratory", action="store_true", help="allow n below the proven range")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)

@@ -6,8 +6,9 @@ witness graph is decided by one predicate, registered in CHECKS under the
 check's name: it returns a violation record (the witness in graph6 form plus
 the parameters of the check) or None. The suites call the predicates, and
 replay_violation calls the same predicate on a recorded witness. Every strict
-ordering of a radius against a reference is decided by compare_estimates;
-when the reference is a threshold graph, it is the graph's exact root.
+ordering of a radius estimate against a reference is decided by
+compare_estimates; when the reference is a threshold graph, it is the graph's
+exact root. The saturated-graph reduction decides on exact leading minors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .graphs import (
+    VERTEX_CAP,
     FamilySpec,
     Graph,
     ParameterError,
@@ -68,13 +70,12 @@ from .spectra import (
     distance_matrix,
     distance_spectral_radii,
     distance_spectral_radius,
-    mu_lower_bound_wiener,
     wiener_index,
 )
 
 _SCAN_TOL = 1e-9
 _BLOCK_BITS = 18
-# stages of the threshold-order chain, counted by both scan variants
+# stages of the threshold-order chain after the scan's table prefilter
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
 ENUMERATE_CAP = 8
 
@@ -377,7 +378,7 @@ def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteR
 
 
 # ---------------------------------------------------------------------------
-# exhaustive / sampled threshold scan
+# Theorem 11: exhaustive scan and saturated-graph reduction
 
 
 def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
@@ -396,33 +397,27 @@ def _check_threshold_order(
 ) -> dict | None:
     """Theorem 11 for one graph: if g is connected without a perfect matching
     (taken as given when `admitted`), its radius is strictly above the
-    threshold graph's exact root `ref`, or g is the threshold graph. The exact
-    2W/n prune, the structural match and the eigensolve run in turn; `counts`
-    tallies the stage that decided g."""
+    threshold graph's exact root `ref`, or g is the threshold graph. The
+    structural match, the eigensolve with its exact 2W/n floor, and the
+    bracket comparison run in turn; `counts` tallies the stage that decided g."""
     if not admitted and (not is_connected(g) or has_perfect_matching(g)):
         return None
     ref = threshold_reference(n)[2] if ref is None else ref
     counts = dict.fromkeys(_FUNNEL_KEYS, 0) if counts is None else counts
-    if mu_lower_bound_wiener(g) > ref.hi:
-        counts["wiener_exact_pruned"] += 1
-        return None
     if matches_clique_join(g, *_reference_parts(n)):
         counts["extremal_matches"] += 1
         return None
     est = distance_spectral_radius(g, tol)
+    if Fraction(2 * est.wiener, n) > ref.hi:
+        counts["wiener_exact_pruned"] += 1
+        return None
     counts["eigensolves"] += 1
     if compare_estimates(est, ref) is Ordering.GREATER:
         counts["strictly_greater"] += 1
         return None
-    return _violation(
-        "threshold-order",
-        g,
-        "no perfect matching yet radius not above the threshold",
-        n=n,
-        estimate=[est.lo, est.hi],
-        reference_hi=float(ref.hi),
-        tol=tol,
-    )
+    detail = "no perfect matching yet radius not above the threshold"
+    data = {"estimate": [est.lo, est.hi], "reference_hi": float(ref.hi), "tol": tol}
+    return _violation("threshold-order", g, detail, n=n, **data)
 
 
 @functools.cache
@@ -527,12 +522,7 @@ def _scan_range(
     low_bits = 2 * n - 3
     block_rows = 1 << (_BLOCK_BITS - low_bits)
 
-    counts = {
-        "connected": 0,
-        "no_pm_connected": 0,
-        "wiener_mask_pruned": 0,
-        **dict.fromkeys(_FUNNEL_KEYS, 0),
-    }
+    counts = dict.fromkeys(("connected", "no_pm_connected", "wiener_mask_pruned", *_FUNNEL_KEYS), 0)
     violations: list[dict] = []
     row_stop = -(-stop >> low_bits)
     for h0 in range(start >> low_bits, row_stop, block_rows):
@@ -558,51 +548,54 @@ def _scan_range(
     return counts
 
 
+@functools.cache
+def _scan_constants(n: int) -> tuple[str, CertifiedRoot, int]:
+    """The threshold graph's graph6 and root, and the edge cutoff m_max: an
+    edge count at or below it gives 2W/n > threshold, as W >= 2 C(n,2) - m."""
+    g, _, root = _threshold_reference(n)
+    bound = (Fraction(2 * n * (n - 1)) - n * root.hi) / 2
+    return write_graph6(g), root, (bound.numerator - 1) // bound.denominator if bound > 0 else -1
+
+
 def pm_threshold_scan(
     n: int,
-    variant: str = "small",
-    trials: int = 10**5,
-    seed: int = 0,
     chunk: tuple[int, int] = (0, 1),
     threads: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> SuiteReport:
-    """Check that every connected even-order graph without a perfect matching
-    has radius strictly above the threshold graph, or is the threshold graph.
+    """Theorem 11 at even n <= 64: every connected graph of order n with no
+    perfect matching has radius strictly above the threshold graph, or is it.
 
-    variant="small" scans all labeled graphs on n in {4, 6, 8} (chunkable and
-    parallelizable); variant="large" samples `trials` connected graphs at the
-    given order instead, in one chunk and one thread.
+    n <= ENUMERATE_CAP scans every labeled graph (chunkable, threaded;
+    `progress` gets the masks done). Larger n, in one chunk and thread, reduce
+    to finitely many graphs. Saturating a Tutte set S (o(G - S) >= |S| + 2),
+    each component of G - S and every S-to-rest pair, folding even components
+    into an odd one and merging surplus odd parts three at a time gives a
+    spanning H = K_s v (K_{n1} u ... u K_{n_{s+2}}), s >= 1, n_i odd, without
+    a perfect matching (Lovasz & Plummer, Matching Theory, 1986). If G != H,
+    D(G) >= D(H) and unequal, so mu(G) > mu(H) by Perron-Frobenius. Each H is
+    decided exactly by _minor_certificate (Berman & Plemmons, 1994, ch. 6).
     """
-    if n < 4 or n % 2:
-        raise ParameterError(f"even order >= 4 required, got {n}")
+    if n < 4 or n % 2 or n > VERTEX_CAP:
+        raise ParameterError(f"even order 4 <= n <= {VERTEX_CAP} required, got {n}")
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
     t0 = time.perf_counter()
-    ref_g, _, ref_root = threshold_reference(n)
-    params = {"n": n, "variant": variant, "chunk": f"{chunk[0]}/{chunk[1]}"}
-    report = SuiteReport("theorem11", params)
-    report.extras["reference_g6"] = write_graph6(ref_g)
-    report.extras["reference_mu"] = [float(ref_root.lo), float(ref_root.hi)]
-
-    if variant == "small":
-        if n > 8:
-            raise ParameterError(f"exhaustive scan capped at n=8, got {n}")
+    ref_g6, ref_root, m_max = _scan_constants(n)
+    report = SuiteReport("theorem11", {"n": n, "chunk": f"{chunk[0]}/{chunk[1]}"})
+    report.extras.update(reference_g6=ref_g6, reference_mu=[float(ref_root.lo), float(ref_root.hi)])
+    if n > ENUMERATE_CAP:
+        if tuple(chunk) != (0, 1) or threads != 1:
+            raise ParameterError("the saturated-graph reduction runs as one chunk in one thread")
+        _saturated_order_scan(report, n, ref_root)
+    else:
         start, stop = _chunk_range(1 << (n * (n - 1) // 2), chunk)
-        # edge counts at or below m_max give 2W/n > threshold outright
-        pair_count = n * (n - 1) // 2
-        bound = (Fraction(4 * pair_count) - n * ref_root.hi) / 2
-        m_max = (bound.numerator - 1) // bound.denominator if bound > 0 else -1
         if threads > 1:
             import multiprocessing as mp
 
             _scan_tables(n)  # built once here, inherited by the forked workers
             edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
-            args = [
-                (n, edges[i], edges[i + 1], ref_root, m_max)
-                for i in range(threads)
-                if edges[i] < edges[i + 1]
-            ]
+            args = [(n, a, b, ref_root, m_max) for a, b in zip(edges, edges[1:]) if a < b]
             workers = min(len(args), len(os.sched_getaffinity(0)))
             with mp.get_context("fork").Pool(workers) as pool:
                 results = pool.starmap(_scan_range, args)
@@ -615,32 +608,79 @@ def pm_threshold_scan(
         report.cases = report.extras["connected"]
         report.extras["masks_scanned"] = stop - start
         report.extras["edge_cutoff"] = m_max
-    elif variant == "large":
-        if trials < 1:
-            raise ParameterError(f"need trials >= 1, got {trials}")
-        if tuple(chunk) != (0, 1) or threads != 1:
-            raise ParameterError("the sampled variant runs as one chunk in one thread")
-        rng = random.Random(seed)
-        params["trials"] = trials
-        params["seed"] = seed
-        no_pm = 0
-        counts = dict.fromkeys(_FUNNEL_KEYS, 0)
-        for _ in range(trials):
-            g = random_connected_graph(rng, n)
-            report.cases += 1
-            if has_perfect_matching(g):
-                continue
-            no_pm += 1
-            violation = _check_threshold_order(g, n, ref=ref_root, counts=counts, admitted=True)
-            if violation is not None:
-                report.violations.append(violation)
-        report.extras["no_pm_sampled"] = no_pm
-        report.extras.update(counts)
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
-
     report.seconds = time.perf_counter() - t0
     return report
+
+
+def _odd_parts(total: int, count: int, low: int = 1) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples of `count` odd parts >= low that sum to `total`."""
+    if count == 1:
+        return [(total,)] if total >= low and total % 2 else []
+    return [
+        (part, *rest)
+        for part in range(low, total // count + 1, 2)
+        for rest in _odd_parts(total - part, count - 1, part)
+    ]
+
+
+def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
+    """Distance quotient of K_s v (K_{n1} u ... u K_{nq}) on the hub and one
+    cell per part order m, holding all c_m parts of that order."""
+    cells = [(m, len(list(same))) for m, same in itertools.groupby(parts)]
+    rows = [[s - 1] + [c * m for m, c in cells]]
+    for m, c in cells:
+        rows.append([s] + [m - 1 + 2 * (c - 1) * m if m2 == m else 2 * c2 * m2 for m2, c2 in cells])
+    return rows
+
+
+def _minor_certificate(rows: list[list[int]], t: Fraction) -> int | None:
+    """Order of the first leading principal minor of uI - vQ (t = u/v) that
+    proves rho(Q) > t by being <= 0 (or < 0 for the determinant), else None:
+    for Q nonnegative, irreducible and similar to a symmetric matrix, all
+    positive makes uI - vQ a nonsingular M-matrix (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6). The
+    minors are the pivots of fraction-free Bareiss elimination in ints."""
+    u, v, size, prev = t.numerator, t.denominator, len(rows), 1
+    a = [[u * (i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    for k in range(size):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and k < size - 1):
+            return k + 1
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return None
+
+
+def _check_saturated_order(
+    g: Graph | None, n: int, s: int, parts: list[int], reference=None
+) -> dict | None:
+    """K_s v (K_{n1} u ... u K_{nq}) of order n is strictly above the threshold
+    root's bracket `reference` (lo, hi), or is the threshold graph with its
+    root in (lo, hi]. Decided on the quotient; g=None builds g only to record."""
+    root = _threshold_reference(n)[2]
+    lo, hi = map(Fraction, reference or (root.lo, root.hi))
+    spec = (s, tuple(parts))
+    above = functools.partial(_minor_certificate, _saturated_quotient(*spec))
+    if (above(lo) and not above(hi)) if spec == _reference_parts(n) else above(hi):
+        return None
+    g = barrier_family(FamilySpec(n, *spec)) if g is None else g
+    detail = "not certified above the threshold, nor the threshold graph inside it"
+    data = {"n": n, "s": s, "parts": list(parts), "reference": [str(lo), str(hi)]}
+    return _violation("saturated-order", g, detail, **data)
+
+
+def _saturated_order_scan(report: SuiteReport, n: int, root: CertifiedRoot) -> None:
+    """_check_saturated_order on every spec (s >= 1, s + 2 odd parts) of order n."""
+    threshold, counts = _reference_parts(n), {"certified_above": 0, "threshold_matches": 0}
+    for s in range(1, n // 2):
+        for parts in _odd_parts(n - s, s + 2):
+            violation = _check_saturated_order(None, n, s, parts, (root.lo, root.hi))
+            _record(report, violation)
+            if violation is None:
+                counts["threshold_matches" if (s, parts) == threshold else "certified_above"] += 1
+    report.extras.update(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1075,7 @@ CHECKS: dict[str, Callable[..., dict | None]] = {
     "chain-canonical": _check_chain_canonical,
     "chain-threshold": _check_chain_threshold,
     "threshold-order": _check_threshold_order,
+    "saturated-order": _check_saturated_order,
     "probe-order": check_probe_sample,
     "corollary-order": _check_corollary_order,
     "wiener-bound": _check_wiener_bound,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -70,13 +69,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
 def wiener_index(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs."""
     return int(distance_matrix(g).sum()) // 2
-
-
-def mu_lower_bound_wiener(g: Graph) -> Fraction:
-    """Exact bound mu(G) >= 2W(G)/n (Rayleigh quotient of the all-ones vector)."""
-    if g.n < 1:
-        raise ParameterError("bound needs at least one vertex")
-    return Fraction(2 * wiener_index(g), g.n)
 
 
 @dataclass(frozen=True)

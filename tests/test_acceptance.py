@@ -127,6 +127,22 @@ def test_criterion_4_exhaustive_scan_n8():
     assert ok, line
 
 
+def test_criterion_4_saturated_reduction_n10_to_64():
+    # above n = 8 the scan is the saturated-graph reduction: every spec
+    # (s, parts) is decided by an exact pivot sign, 53,650 of them in all
+    t0 = time.perf_counter()
+    reports = [pm_threshold_scan(n) for n in range(10, 65, 2)]
+    ok = (
+        all(r.passed for r in reports)
+        and all(r.extras["threshold_matches"] == 1 for r in reports)
+        and all(r.extras["certified_above"] == r.cases - 1 for r in reports)
+        and sum(r.cases for r in reports) == 53650
+    )
+    failed = [r.params["n"] for r in reports if not r.passed]
+    line = _verdict(4, ok, t0, f"failing orders: {failed}")
+    assert ok, line
+
+
 def test_criterion_5_proof_chain_identities():
     t0 = time.perf_counter()
     report = identity_suite(ks=(1, 2, 3), grid_span=20, k_top=50)

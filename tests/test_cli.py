@@ -339,10 +339,6 @@ def test_verify_probe13_json_deterministic(capsys):
 def test_verify_rejects_empty_suites(capsys):
     code, _, err = run(capsys, "verify", "probe13", "--n", "14", "--k", "1", "--trials", "0")
     assert code == 2 and "trials" in err
-    code, _, err = run(
-        capsys, "verify", "theorem11", "--n", "10", "--variant", "large", "--trials", "-5"
-    )
-    assert code == 2 and "trials" in err
 
 
 def test_verify_corollary14(capsys):
@@ -359,11 +355,31 @@ def test_verify_corollary14_passes_tolerance(capsys):
     assert payload["result"]["params"]["tol"] == 1e-9
 
 
-def test_verify_sampled_theorem11_rejects_chunks(capsys):
-    code, _, err = run(
-        capsys, "verify", "theorem11", "--n", "10", "--variant", "large", "--chunk", "1/4"
-    )
-    assert code == 2 and "one chunk" in err
+def test_verify_theorem11_reduction_rejects_chunks(capsys):
+    for argv in (("--n", "10", "--chunk", "1/4"), ("--n", "10", "--threads", "2")):
+        code, out, err = run(capsys, "verify", "theorem11", *argv)
+        assert code == 2 and "one chunk" in err and out == ""
+        assert "Traceback" not in err
+    for n in ("11", "66"):
+        code, out, err = run(capsys, "verify", "theorem11", "--n", n)
+        assert code == 2 and "4 <= n <= 64" in err and out == ""
+        assert "Traceback" not in err
+
+
+def test_verify_theorem11_has_no_variant_option(capsys):
+    for value in ("small", "large"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theorem11", "--n", "10", "--variant", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
+
+
+def test_verify_theorem11_n64(capsys):
+    code, payload, _ = run_json(capsys, "verify", "theorem11", "--n", "64", "--json")
+    result = payload["result"]
+    assert code == 0 and result["passed"] is True
+    assert result["extras"]["threshold_matches"] == 1
+    assert result["extras"]["certified_above"] == result["cases"] - 1
 
 
 def test_verify_theorem11_rejects_thread_counts_below_one(capsys):

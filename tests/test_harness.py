@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from specmatch import (
     barrier_family,
     complete_graph,
     corollary_comparison,
+    distance_matrix,
+    distance_spectral_radius,
     empty_graph,
     enumerate_graphs,
     extremal_family,
+    family_partition,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
     identity_suite,
@@ -28,10 +32,12 @@ from specmatch import (
     is_k_connected,
     join,
     lemma_suites,
+    matches_clique_join,
     odd_components,
     parse_graph6,
     pm_threshold_scan,
     probe_extremal_bound,
+    quotient_matrix,
     random_connected_graph,
     replay_violation,
     threshold_reference,
@@ -40,8 +46,9 @@ from specmatch import (
     write_graph6,
 )
 import specmatch.harness as harness
-from specmatch.harness import CHECKS, check_probe_sample
-from specmatch.quotient import family_quartic_root, largest_root
+from specmatch.harness import CHECKS, SuiteReport, check_probe_sample
+from specmatch.quotient import CertifiedRoot, family_quartic_root, largest_root
+from specmatch.spectra import Ordering, compare_estimates
 
 
 def test_threshold_reference_closed_forms():
@@ -313,24 +320,116 @@ def test_scan_extras_are_plain_json_numbers():
         json.dumps(report.to_dict())
 
 
-def test_scan_large_variant():
-    report = pm_threshold_scan(10, variant="large", trials=200, seed=1)
-    assert report.passed
-    assert report.cases == 200
-    assert report.extras["no_pm_sampled"] >= 0
-    again = pm_threshold_scan(10, variant="large", trials=200, seed=1)
-    assert again.to_dict(include_timing=False) == report.to_dict(include_timing=False)
-
-
 def test_scan_validation():
-    with pytest.raises(ParameterError):
-        pm_threshold_scan(10)  # exhaustive variant capped at 8
-    with pytest.raises(ParameterError):
-        pm_threshold_scan(7)
+    for n in (7, 11, 2, 66):
+        with pytest.raises(ParameterError, match="4 <= n <= 64"):
+            pm_threshold_scan(n)
     with pytest.raises(ParameterError):
         pm_threshold_scan(4, chunk=(3, 3))
-    with pytest.raises(ParameterError):
-        pm_threshold_scan(6, variant="bogus")
+    with pytest.raises(ParameterError, match="one chunk"):
+        pm_threshold_scan(10, chunk=(3, 3))
+    with pytest.raises(TypeError):
+        pm_threshold_scan(10, variant="large")
+
+
+def _saturated_specs(n):
+    return [(s, parts) for s in range(1, n // 2) for parts in harness._odd_parts(n - s, s + 2)]
+
+
+def _merged_cells(spec):
+    # the hub, then all parts of one order as one cell, orders ascending
+    blocks = family_partition(spec)
+    return [blocks[0]] + [
+        [v for block, m in zip(blocks[1:], spec.parts) if m == size for v in block]
+        for size in sorted(set(spec.parts))
+    ]
+
+
+def test_saturated_quotient_and_verdict_match_the_graph():
+    # every spec up to n = 14: the merged quotient is the distance quotient of
+    # the graph itself, and the exact verdict against a bracket agrees with
+    # compare_estimates on the graph's float estimate wherever that decides
+    decided = {Ordering.GREATER: 0, Ordering.LESS: 0}
+    for n in range(4, 15, 2):
+        root = threshold_reference(n)[2]
+        for s, parts in _saturated_specs(n):
+            spec = FamilySpec(n, s, parts)
+            g = barrier_family(spec)
+            rows = harness._saturated_quotient(s, parts)
+            q = quotient_matrix(distance_matrix(g).tolist(), _merged_cells(spec))
+            assert [[Fraction(x) for x in row] for row in rows] == [list(r) for r in q.entries]
+            est = distance_spectral_radius(g)
+            points = [Fraction(t) for t in range(int(est.lo) - 1, int(est.hi) + 3)]
+            for ref in [root] + [CertifiedRoot(float(t), t, t) for t in points]:
+                order = compare_estimates(est, ref)
+                if order is Ordering.GREATER:
+                    assert harness._minor_certificate(rows, ref.hi) is not None
+                elif order is Ordering.LESS:
+                    assert harness._minor_certificate(rows, ref.lo) is None
+                if order in decided:
+                    decided[order] += 1
+    assert all(count > 50 for count in decided.values()), decided
+
+
+def test_saturated_reduction_names_the_scan_minimizer():
+    for n, chunk in ((4, (0, 1)), (6, (0, 1)), (8, (15, 1024))):
+        report = SuiteReport("theorem11", {"n": n})
+        harness._saturated_order_scan(report, n, threshold_reference(n)[2])
+        assert report.passed and report.cases == len(_saturated_specs(n))
+        assert report.extras == {"certified_above": report.cases - 1, "threshold_matches": 1}
+        scan_reference = parse_graph6(pm_threshold_scan(n, chunk=chunk).extras["reference_g6"])
+        assert matches_clique_join(scan_reference, *harness._reference_parts(n))
+
+
+def test_scan_above_eight_is_the_saturated_reduction():
+    report = pm_threshold_scan(10)
+    assert report.to_dict(include_timing=False) == {
+        "suite": "theorem11",
+        "params": {"n": 10, "chunk": "0/1"},
+        "cases": 7,
+        "passed": True,
+        "violations": [],
+        "extras": {
+            "reference_g6": "I~~~~}?_?",
+            "reference_mu": report.extras["reference_mu"],
+            "certified_above": 6,
+            "threshold_matches": 1,
+        },
+    }
+    _, _, root = threshold_reference(10)
+    assert report.extras["reference_mu"] == [float(root.lo), float(root.hi)]
+
+
+def test_saturated_violation_replays_by_the_exact_pivot(monkeypatch):
+    # a reference bracket between the two smallest non-threshold radii at n = 10
+    # fails the smallest spec (and the threshold spec, which lies below it)
+    threshold = harness._reference_parts(10)
+    radii = sorted(
+        (distance_spectral_radius(barrier_family(FamilySpec(10, s, parts))).value, s, parts)
+        for s, parts in _saturated_specs(10)
+        if (s, parts) != threshold
+    )
+    t = Fraction((radii[0][0] + radii[1][0]) / 2)
+    report = SuiteReport("theorem11", {"n": 10})
+    harness._saturated_order_scan(report, 10, CertifiedRoot(float(t), t, t))
+    assert report.cases == 7 and report.extras == {"certified_above": 5, "threshold_matches": 0}
+    failed = {(v["data"]["s"], tuple(v["data"]["parts"])): v for v in report.violations}
+    _, s, parts = radii[0]
+    assert set(failed) == {threshold, (s, parts)}
+    violation = failed[(s, parts)]
+    assert violation["check"] == "saturated-order"
+    assert parse_graph6(violation["witness"]) == barrier_family(FamilySpec(10, s, parts))
+    assert violation["data"]["reference"] == [str(t), str(t)]
+
+    pivots = []
+    certificate = harness._minor_certificate
+    monkeypatch.setattr(
+        harness, "_minor_certificate", lambda *a: pivots.append(a) or certificate(*a)
+    )
+    monkeypatch.setattr(harness, "distance_spectral_radius", None)  # no eigensolve
+    assert replay_violation(violation) is True and pivots
+    del violation["data"]["reference"]  # the true threshold root
+    assert replay_violation(violation) is False
 
 
 def test_probe_within_proven_range():
@@ -433,16 +532,15 @@ def test_suites_reject_empty_trials():
     for trials in (0, -5):
         with pytest.raises(ParameterError, match="trials"):
             probe_extremal_bound(14, 1, trials=trials)
-        with pytest.raises(ParameterError, match="trials"):
-            pm_threshold_scan(10, variant="large", trials=trials)
 
 
-def test_sampled_scan_rejects_chunks_and_threads():
-    # every chunk would draw the same samples, so a split run repeats work
+def test_reduction_scan_rejects_chunks_and_threads():
+    # the reduction above n = 8 decides every spec in one pass: a chunk or a
+    # thread count would split nothing
     with pytest.raises(ParameterError, match="one chunk"):
-        pm_threshold_scan(10, variant="large", trials=5, chunk=(1, 4))
+        pm_threshold_scan(10, chunk=(1, 4))
     with pytest.raises(ParameterError, match="one chunk"):
-        pm_threshold_scan(10, variant="large", trials=5, threads=2)
+        pm_threshold_scan(10, threads=2)
 
 
 def test_scan_rejects_thread_counts_below_one():
@@ -450,7 +548,7 @@ def test_scan_rejects_thread_counts_below_one():
         with pytest.raises(ParameterError, match="threads >= 1"):
             pm_threshold_scan(4, threads=threads)
         with pytest.raises(ParameterError, match="threads >= 1"):
-            pm_threshold_scan(10, variant="large", trials=5, threads=threads)
+            pm_threshold_scan(10, threads=threads)
 
 
 def test_probe_exploratory_finds_genuine_violations():
@@ -542,6 +640,7 @@ HEALTHY = {
     ),
     # K_6 has a perfect matching, so it lies outside the theorem's hypotheses
     "threshold-order": (complete_graph(6), {"n": 6, "tol": 1e-9}),
+    "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "probe-order": (_FRAC14, {"n": 14, "k": 1, "tol": 1e-8}),
     "corollary-order": (_FRAC14, {"n": 14, "tol": 1e-8}),
     "wiener-bound": (complete_graph(5), {"tol": 1e-9}),
@@ -565,6 +664,8 @@ FAILING = {
     "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1, "tol": 1e-8}),
     # the order-4 threshold graph held against the order-6 threshold
     "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6, "tol": 1e-9}),
+    # a reference bracket far above the graph's radius
+    "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "reference": ["99", "99"]}),
     "probe-order": (complete_graph(14), {"n": 14, "k": 1, "tol": 1e-8}),
     "corollary-order": (_PLAIN14, {"n": 14, "tol": 1e-8}),
     # the edge is already present, so "adding" it leaves the graph unchanged
@@ -578,7 +679,7 @@ CANNOT_FAIL = {
 
 
 def test_check_table_covers_every_witness_check():
-    assert len(CHECKS) == 16
+    assert len(CHECKS) == 17
     assert set(HEALTHY) == set(CHECKS)
     assert set(FAILING) | set(CANNOT_FAIL) == set(CHECKS)
     assert not set(FAILING) & set(CANNOT_FAIL)
@@ -617,10 +718,8 @@ SUITE_RUNS = {
     "chain-equality": lambda: [verify_ordering_chain(FamilySpec(14, 1, (1, 3, 9)), k=1)],
     "chain-canonical": lambda: [verify_ordering_chain(FamilySpec(18, 2, (3, 3, 3, 7)), k=2)],
     "chain-threshold": lambda: [verify_ordering_chain(FamilySpec(22, 2, (1, 1, 3, 15)), k=1)],
-    "threshold-order": lambda: [
-        pm_threshold_scan(4),
-        pm_threshold_scan(10, variant="large", trials=200, seed=1),
-    ],
+    "threshold-order": lambda: [pm_threshold_scan(4)],
+    "saturated-order": lambda: [pm_threshold_scan(10)],
     "probe-order": lambda: [probe_extremal_bound(14, 1, trials=3)],
     "corollary-order": lambda: [corollary_comparison(14, 14), _small_lemmas()],
     "wiener-bound": lambda: [_small_lemmas()],
@@ -634,7 +733,9 @@ def test_suites_decide_through_the_check_table(check, monkeypatch):
     import specmatch.harness as harness
 
     def always_fails(g, *args, **kwargs):
-        return {"check": check, "witness": write_graph6(g), "detail": "stub", "data": {}}
+        # the saturated-graph reduction passes no graph: it builds one only to record
+        witness = None if g is None else write_graph6(g)
+        return {"check": check, "witness": witness, "detail": "stub", "data": {}}
 
     monkeypatch.setattr(harness, CHECKS[check].__name__, always_fails)
     for report in SUITE_RUNS[check]():

@@ -22,8 +22,8 @@ from specmatch import (
     gap_bound_floor_deriv,
     hub_gap_coefficient,
     largest_root,
-    mu_lower_bound_wiener,
     quotient_matrix,
+    wiener_index,
 )
 
 
@@ -246,7 +246,7 @@ def test_family_quartic_root_reference_value():
     root = family_quartic_root(14, 1)
     assert abs(root.value - 19.063334136) < 1e-8
     assert root.width <= Fraction(1, 10**10)
-    assert root.lo > mu_lower_bound_wiener(extremal_family(14, 1))
+    assert root.lo > Fraction(2 * wiener_index(extremal_family(14, 1)), 14)
     poly = family_quartic(14, 1)
     assert poly(root.lo) < 0 < poly(root.hi)
 

@@ -27,7 +27,6 @@ from specmatch import (
     empty_graph,
     extremal_family,
     join,
-    mu_lower_bound_wiener,
     wiener_index,
 )
 from specmatch.quotient import family_quartic_root
@@ -116,7 +115,7 @@ def test_wiener_lower_bound_is_exact_fraction():
     from fractions import Fraction
 
     g = extremal_family(14, 1)
-    bound = mu_lower_bound_wiener(g)
+    bound = Fraction(2 * wiener_index(g), g.n)
     assert bound == Fraction(260, 14)
     est = distance_spectral_radius(g)
     assert est.lo >= float(bound) - 1e-12
