@@ -78,8 +78,6 @@ def _parse_chunk(text: str) -> tuple[int, int]:
         index, count = int(index), int(count)
     except ValueError:
         raise ParameterError(f"--chunk expects 'index/count', got {text!r}")
-    if count < 1 or not 0 <= index < count:
-        raise ParameterError(f"chunk index {index} outside 0..{count - 1}")
     return index, count
 
 
@@ -246,8 +244,8 @@ def _cmd_fractional(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    partition = extremal_partition(args.n, args.s)  # its errors name the hub size s
     g = extremal_family(args.n, args.s)
-    partition = extremal_partition(args.n, args.s)
     q = quotient_matrix(distance_matrix(g).tolist(), partition)
     poly = family_quartic(args.n, args.s)
     computed = char_poly(q)
@@ -277,30 +275,41 @@ def _cmd_quotient(args) -> int:
     return 0 if agree else 1
 
 
+# each verify target's options and defaults (None: required); the parser leaves
+# every option at None, so one that the target does not read is rejected
+_VERIFY_OPTIONS = {
+    "lemmas": {"seed": 0},
+    "theorem11": {"n": None, "chunk": "0/1", "threads": 1},
+    "theorem13-family": {"n": None, "k": None, "tol": 1e-8},
+    "ordering-chain": {"n": None, "s": None, "parts": None, "k": None, "tol": 1e-8},
+    "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "tol": 1e-8, "exploratory": False},
+    "corollary14": {"n": 40, "tol": 1e-8},
+}
+
+
 def _cmd_verify(args) -> int:
     target = args.target
-    chunk = _parse_chunk(args.chunk) if args.chunk else (0, 1)
+    options = _VERIFY_OPTIONS[target]
+    given = {o for opts in _VERIFY_OPTIONS.values() for o in opts if getattr(args, o) is not None}
+    if unread := sorted(given - options.keys()):
+        raise ParameterError(f"verify {target} does not take --{', --'.join(unread)}")
+    if missing := [o for o, default in options.items() if default is None and o not in given]:
+        raise ParameterError(f"verify {target} requires --{', --'.join(missing)}")
+    for name in options.keys() - given:
+        setattr(args, name, options[name])
     if target == "lemmas":
         report = harness.lemma_suites(seed=args.seed)
     elif target == "theorem11":
-        if args.n is None:
-            raise ParameterError("verify theorem11 requires --n")
         progress = None if args.json else _progress_printer()
         report = harness.pm_threshold_scan(
-            args.n, chunk=chunk, threads=args.threads, progress=progress
+            args.n, chunk=_parse_chunk(args.chunk), threads=args.threads, progress=progress
         )
     elif target == "theorem13-family":
-        if args.n is None or args.k is None:
-            raise ParameterError("verify theorem13-family requires --n and --k")
         report = harness.verify_extremal_family(args.n, args.k, tol=args.tol)
     elif target == "ordering-chain":
-        if args.n is None or args.s is None or args.parts is None or args.k is None:
-            raise ParameterError("verify ordering-chain requires --n, --s, --parts, --k")
         spec = FamilySpec(args.n, args.s, _parse_parts(args.parts))
         report = harness.verify_ordering_chain(spec, args.k, tol=args.tol)
     elif target == "probe13":
-        if args.n is None or args.k is None:
-            raise ParameterError("verify probe13 requires --n and --k")
         report = harness.probe_extremal_bound(
             args.n,
             args.k,
@@ -309,11 +318,8 @@ def _cmd_verify(args) -> int:
             tol=args.tol,
             exploratory=args.exploratory,
         )
-    elif target == "corollary14":
-        n_hi = args.n if args.n is not None else 40
-        report = harness.corollary_comparison(n_hi=n_hi, tol=args.tol)
     else:
-        raise ParameterError(f"unknown verify target {target!r}")
+        report = harness.corollary_comparison(n_hi=args.n, tol=args.tol)
 
     if args.json:
         _emit_json("verify", {"target": target}, report.to_dict())
@@ -415,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--parts")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--threads", type=int)
     p.add_argument("--chunk", help="'index/count' slice of an exhaustive scan")
     p.add_argument("--exploratory", action="store_true", help="allow n below the proven range")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, exploratory=None)
 
     p = sub.add_parser("enumerate", help="stream graph6 lines for all labeled graphs of order n")
     p.add_argument("--n", type=int, required=True)

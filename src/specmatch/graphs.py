@@ -258,7 +258,7 @@ def extremal_family(n: int, k: int) -> Graph:
 def extremal_partition(n: int, s: int) -> list[list[int]]:
     """4-block positional partition [hub | sK_1 | K_3 | K_{n-2s-3}] (K_1 parts merged)."""
     if s < 1 or n < 2 * s + 6:
-        raise ParameterError(f"need s >= 1 and n >= 2s+6, got n={n}, s={s}")
+        raise ParameterError(f"need hub size s >= 1 and n >= 2s+6, got n={n}, s={s}")
     return [
         list(range(0, s)),
         list(range(s, 2 * s)),

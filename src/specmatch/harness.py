@@ -420,10 +420,23 @@ def _check_threshold_order(
     return _violation("threshold-order", g, detail, n=n, **data)
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bool rows as uint64 words, bit i at bit i % 8 of uint8 byte i // 8; zero padded."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.pad(packed, [(0, 0), (0, -packed.shape[1] % 8)]).view(np.uint64)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR (np.bitwise_count needs numpy >= 2)."""
+    words = words - ((words >> 1) & 0x5555555555555555)
+    words = (words & 0x3333333333333333) + ((words >> 2) & 0x3333333333333333)
+    return (((words + (words >> 4)) & 0x0F0F0F0F0F0F0F0F) * 0x0101010101010101) >> 56
+
+
 @functools.cache
 def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Tables that decide connectivity, perfect matching and edge count for
-    every edge mask on n <= 8 vertices by two lookups each.
+    """Bit-packed tables deciding connectivity, perfect matching and edge count
+    for every edge mask on n <= 8 vertices, 64 masks per uint64 word.
 
     A mask splits into its low 2n-3 bits, the pairs that touch {0, 1} in
     combinations order ((0,1), then (0,j), then (1,j)), and its high bits,
@@ -434,17 +447,17 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
     - G has a perfect matching iff 0 and 1 are matched to a partner set X
       and H - X has one: X is empty when 01 is an edge, and X = {u, w} for
       distinct inner u in A, w in B.
-    Returns, indexed by the high bits `hi` and the low bits `lo`:
-    partition[hi], the index of H's component partition; connected[partition,
-    lo]; partners[lo] and matchable[hi], bit sets of the partner sets X that
-    the low edges offer and that H - X matches; and the edge counts
-    high_edges[hi] and low_edges[lo].
+    A row is a set of low values, packed by _pack. For high bits `hi`: H's
+    partition index partition[hi]; connected[partition] and its size; the low
+    values offering a partner set in byte k of the set index that H - X matches,
+    unions[byte_index[k, hi]]; heavy_low[t], the low values with more than t
+    edges (t = 0 also for t < 0: low value 0 is never connected); high_edges[hi].
     """
     m = n - 2
     full = (1 << m) - 1
     inner_pairs = list(itertools.combinations(range(m), 2))
-    high = np.arange(1 << len(inner_pairs), dtype=np.int32)
-    low = np.arange(1 << (2 * m + 1), dtype=np.int32)
+    high = np.arange(1 << len(inner_pairs), dtype=np.uint16)
+    low = np.arange(1 << (2 * m + 1), dtype=np.uint16)
     edge = {uw: ((high >> j) & 1).astype(np.uint8) for j, uw in enumerate(inner_pairs)}
 
     # components of H: grow each vertex's closed neighbourhood until it
@@ -456,22 +469,24 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
     for _ in range((m - 1).bit_length()):
         for u in range(m):
             reach |= ((reach >> u) & 1) * reach[u]
-    key = np.zeros(high.size, dtype=np.int64)
-    for v in range(m):
-        key |= reach[v].astype(np.int64) << (m * v)
-    parts, partition = np.unique(key, return_inverse=True)
-    # a component is named by its lowest vertex; hits[p, x] = components of
-    # partition p that the inner vertex set x meets
-    comp = np.stack([(parts >> (m * v)) & full for v in range(m)], axis=1)
-    comp &= -comp
-    x = np.arange(1 << m)
-    hits = np.zeros((parts.size, 1 << m), dtype=np.uint8)
-    for v in range(m):
-        hits |= (((x >> v) & 1)[None, :] * comp[:, v : v + 1]).astype(np.uint8)
-    # low bits read as (B, A, 01) in C order; hits[:, -1] is every component
-    ha, hb = hits[:, None, :], hits[:, :, None]
-    covered = (ha | hb) == hits[:, -1:, None]
-    connected = np.stack([covered & ((ha & hb) != 0), covered], axis=-1)
+    # a component is named by its lowest vertex, and the names in base m key
+    # H's partition (by lookup: np.unique's sort leaves ~2 MB resident);
+    # hits[p, x] = components of partition p that the inner vertex set x meets
+    lowest = np.array([(x & -x).bit_length() - 1 for x in range(1 << m)], dtype=np.int32)
+    key = sum(lowest[reach[v]] * m**v for v in range(m))
+    seen = np.zeros(m**m, dtype=bool)
+    seen[key] = True
+    partition, codes = (np.cumsum(seen, dtype=np.uint16) - 1)[key], np.flatnonzero(seen)
+    comp = (1 << np.stack([codes // m**v % m for v in range(m)], axis=1)).astype(np.uint8)
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+    hits = np.bitwise_or.reduce(comp[:, None, :] * members, axis=2)
+    # low bits in C order (B, A, 01), hits[:, -1] = all; 16 partitions a block to save memory
+    blocks = []
+    for h in np.split(hits, range(16, len(hits), 16)):
+        covered = (h[:, None, :] | h[:, :, None]) == h[:, -1:, None]
+        both = covered & ((h[:, None, :] & h[:, :, None]) != 0)
+        blocks.append(_pack(np.stack([both, covered], -1).reshape(len(h), -1)))
+    connected = np.concatenate(blocks)
 
     # pm[s]: H restricted to the even vertex set s has a perfect matching
     pm = {0: np.ones(high.size, dtype=np.uint8)}
@@ -483,21 +498,21 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
         for w in range(v + 1, m):
             if s >> w & 1:
                 pm[s] |= edge[(v, w)] & pm[s ^ (1 << v) ^ (1 << w)]
-    # partner sets: bit j is the inner pair j, bit len(inner_pairs) is X empty
+    # partner set j is inner pair j, or X empty last; offers[j] are the low values
+    # that give it, and row 256k + x of unions ORs the offers of byte k's bits x
     a, b = (low >> 1) & full, low >> (m + 1)
-    partners = (low & 1) << len(inner_pairs)
-    matchable = pm[full].astype(np.int32) << len(inner_pairs)
-    for j, (u, w) in enumerate(inner_pairs):
-        partners |= ((((a >> u) & (b >> w)) | ((a >> w) & (b >> u))) & 1) << j
-        matchable |= pm[full ^ (1 << u) ^ (1 << w)].astype(np.int32) << j
-    return (
-        partition.astype(np.uint8),
-        connected.reshape(parts.size, -1),
-        partners,
-        matchable,
-        sum(edge.values()),
-        sum((low >> i) & 1 for i in range(2 * m + 1)).astype(np.uint8),
-    )
+    offers = [((a >> u) & (b >> w) | (a >> w) & (b >> u)) & 1 for u, w in inner_pairs]
+    offers = _pack(np.array(offers + [low & 1], dtype=bool))
+    matchable = [pm[full ^ (1 << u) ^ (1 << w)] for u, w in inner_pairs] + [pm[full]]
+    unions = np.zeros((-(-len(offers) // 8) * 256, offers.shape[1]), dtype=np.uint64)
+    byte_index = np.repeat(np.arange(0, len(unions), 256, dtype=np.uint16)[:, None], high.size, 1)
+    for j, (offer, ok) in enumerate(zip(offers, matchable)):
+        unions[256 * (j // 8) + np.flatnonzero(np.arange(256) >> (j % 8) & 1)] |= offer
+        byte_index[j // 8] += ok.astype(np.uint16) << (j % 8)
+    low_edges = sum((low >> i) & 1 for i in range(2 * m + 1))
+    heavy_low = _pack(low_edges > np.arange(2 * m + 2)[:, None])
+    sizes, high_edges = _popcount(connected).sum(axis=1), sum(edge.values()).astype(np.int16)
+    return partition.astype(np.uint8), connected, sizes, unions, byte_index, heavy_low, high_edges
 
 
 def _scan_range(
@@ -508,18 +523,17 @@ def _scan_range(
     m_max: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict:
-    """Scan edge-set masks in [start, stop); table-lookup prefilters, then
+    """Scan edge-set masks in [start, stop): bit-packed table prefilters, then
     the threshold-order chain for the connected no-matching survivors.
 
-    A mask is (high << (2n-3)) + low, with high the inner graph on {2..n-1}
-    and low the 2n-3 pairs that touch {0, 1} (see _scan_tables). The range
-    is walked in blocks of whole table rows, one row per high value and one
-    column per low value, so each prefilter is a row gather broadcast
-    against the low tables. Only a range that starts or stops mid-row masks
-    the part of its first or last row outside [start, stop)."""
+    A mask is (high << (2n-3)) + low, high the inner graph on {2..n-1} and low
+    the 2n-3 pairs that touch {0, 1} (see _scan_tables). Blocks of whole rows,
+    one per high value with 64 low values to a word, are decided by row gathers
+    and word-wide ANDs and ORs; only a row cut by [start, stop) is popcounted."""
     pairs = list(itertools.combinations(range(n), 2))
-    partition, connected_table, partners, matchable, high_edges, low_edges = _scan_tables(n)
+    partition, conn_rows, conn_count, unions, byte_index, heavy_low, high_edges = _scan_tables(n)
     low_bits = 2 * n - 3
+    row_len = 1 << low_bits
     block_rows = 1 << (_BLOCK_BITS - low_bits)
 
     counts = dict.fromkeys(("connected", "no_pm_connected", "wiener_mask_pruned", *_FUNNEL_KEYS), 0)
@@ -527,18 +541,26 @@ def _scan_range(
     row_stop = -(-stop >> low_bits)
     for h0 in range(start >> low_bits, row_stop, block_rows):
         highs = np.arange(h0, min(h0 + block_rows, row_stop))
-        connected = connected_table[partition[highs]]
-        base = h0 << low_bits
-        connected.reshape(-1)[: max(start - base, 0)] = False
-        connected.reshape(-1)[stop - base :] = False
-        interesting = connected & ((partners & matchable[highs, None]) == 0)
-        heavy = interesting & (high_edges[highs, None] + low_edges > m_max)
-        no_pm, survivors = int(np.count_nonzero(interesting)), int(np.count_nonzero(heavy))
-        counts["connected"] += int(np.count_nonzero(connected))
+        connected, row_counts = conn_rows[partition[highs]], conn_count[partition[highs]]
+        base, last = h0 << low_bits, int(highs[-1]) << low_bits
+        if start > base or stop < last + row_len:
+            connected[:1] &= _pack(np.arange(row_len)[None] >= start - base)
+            connected[-1:] &= _pack(np.arange(row_len)[None] < stop - last)
+            row_counts[[0, -1]] = _popcount(connected[[0, -1]]).sum(axis=1)
+        interesting = connected & ~np.bitwise_or.reduce(unions[byte_index[:, highs]])
+        heavy = interesting & heavy_low[np.clip(m_max - high_edges[highs], 0, low_bits)]
+        no_pm = int(_popcount(interesting).sum())
+        survivors = ()
+        if heavy.any():
+            rows, cols = np.nonzero(heavy)
+            bits = np.unpackbits(heavy[rows, cols, None].view(np.uint8), axis=1, bitorder="little")
+            word, bit = np.nonzero(bits)
+            survivors = base + (rows[word] << low_bits) + (cols[word] << 6) + bit
+        counts["connected"] += int(row_counts.sum())
         counts["no_pm_connected"] += no_pm
-        counts["wiener_mask_pruned"] += no_pm - survivors
-        for i in np.flatnonzero(heavy) if survivors else ():
-            g = _graph_from_mask(n, base + int(i), pairs)
+        counts["wiener_mask_pruned"] += no_pm - len(survivors)
+        for mask in survivors:
+            g = _graph_from_mask(n, int(mask), pairs)
             violation = _check_threshold_order(g, n, ref=ref, counts=counts, admitted=True)
             if violation is not None:
                 violations.append(violation)
@@ -1044,6 +1066,8 @@ def identity_suite(
 def _chunk_range(total: int, chunk: tuple[int, int]) -> tuple[int, int]:
     """Start and stop of chunk (index, count) of the items 0..total-1."""
     ci, cm = chunk
+    if cm < 1:
+        raise ParameterError(f"chunk count must be positive, got {cm}")
     if not 0 <= ci < cm:
         raise ParameterError(f"chunk index {ci} outside 0..{cm - 1}")
     return total * ci // cm, total * (ci + 1) // cm

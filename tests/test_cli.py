@@ -388,6 +388,34 @@ def test_verify_theorem11_rejects_thread_counts_below_one(capsys):
         assert code == 2 and "threads >= 1" in err and out == ""
 
 
+def test_verify_rejects_options_the_target_does_not_read(capsys):
+    cases = (
+        (("theorem11", "--n", "10", "--trials", "5", "--seed", "3", "--tol", "0.5"),
+         ("--trials", "--seed", "--tol")),
+        (("theorem11", "--n", "10", "--exploratory"), ("--exploratory",)),
+        (("lemmas", "--tol", "0.5"), ("--tol",)),
+        (("corollary14", "--chunk", "0/2"), ("--chunk",)),
+    )
+    for argv, flags in cases:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "does not take" in err and all(flag in err for flag in flags)
+
+
+def test_chunk_count_below_one_is_named(capsys):
+    for argv in (("verify", "theorem11", "--n", "4"), ("enumerate", "--n", "4")):
+        for count in ("0", "-2"):
+            code, out, err = run(capsys, *argv, "--chunk", f"3/{count}")
+            assert code == 2 and out == ""
+            assert f"chunk count must be positive, got {count}" in err
+
+
+def test_quotient_hub_size_error_names_s(capsys):
+    code, out, err = run(capsys, "quotient", "--n", "14", "--s", "0")
+    assert code == 2 and out == ""
+    assert "hub size s" in err and "k must" not in err
+
+
 def test_verify_lemmas_full_defaults(capsys):
     code, payload, _ = run_json(capsys, "verify", "lemmas", "--json")
     assert code == 0

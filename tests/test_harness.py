@@ -258,6 +258,80 @@ def test_scan_n8_ranges_across_table_rows_match_per_graph_counts():
         assert _scan_counts(report) == expected
 
 
+def _range_counts(n, start, stop, cutoff):
+    # per-graph reference over the masks [start, stop), as _per_graph_counts
+    pairs = list(itertools.combinations(range(n), 2))
+    connected = no_pm = light = 0
+    for mask in range(start, stop):
+        g = harness._graph_from_mask(n, mask, pairs)
+        if is_connected(g):
+            connected += 1
+            if not has_perfect_matching(g):
+                no_pm += 1
+                light += g.edge_count() <= cutoff
+    return connected, no_pm, light
+
+
+def test_packed_scan_ranges_cut_inside_words_match_per_graph_counts():
+    # n = 8 rows are 8192 masks in 128 words: ranges that start or stop 1, 63,
+    # 64 or 65 masks into a row, and one inside a single word, on rows from a
+    # sparse to the complete inner graph
+    _, root, m_max = harness._scan_constants(8)
+    no_pm = light = 0
+    for row in (5, 12345, 20000, (1 << 15) - 1):
+        base = row << 13
+        ranges = [(base + off, base + off + 200) for off in (1, 63, 64, 65)]
+        ranges += [(base + off - 200, base + off) for off in (1, 63, 64, 65)]
+        for start, stop in ranges + [(base + 70, base + 120)]:
+            got = harness._scan_range(8, start, stop, root, m_max)
+            assert got["violations"] == []
+            expected = _range_counts(8, start, stop, m_max)
+            assert (got["connected"], got["no_pm_connected"], got["wiener_mask_pruned"]) == expected
+            no_pm, light = no_pm + expected[1], light + expected[2]
+    assert 0 < light < no_pm  # both the mask prune and the chain are reached
+
+
+def test_packed_scan_edge_cutoffs_clip_at_both_ends():
+    # heavy_low is indexed by the cutoff minus the inner edge count, clipped
+    # to 0..2n-3: the inner graph 20000 has 5 edges, so these cutoffs index
+    # below, inside and above the table
+    _, root, _ = harness._scan_constants(8)
+    start = (20000 << 13) + 63
+    for cutoff in (-1, 3, 12, 25):
+        got = harness._scan_range(8, start, start + 200, root, cutoff)
+        assert got["violations"] == []
+        expected = _range_counts(8, start, start + 200, cutoff)
+        assert (got["connected"], got["no_pm_connected"], got["wiener_mask_pruned"]) == expected
+
+
+def test_scan_n4_single_mask_chunks_match_per_graph_counts():
+    for mask in range(64):
+        report = pm_threshold_scan(4, chunk=(mask, 64))
+        assert report.passed
+        expected = _per_graph_counts(4, (mask, 64), report.extras["edge_cutoff"])
+        assert _scan_counts(report) == expected
+
+
+def test_popcount_matches_int_bit_count():
+    rng = random.Random(14)
+    words = [0, (1 << 64) - 1] + [1 << i for i in range(64)]
+    words += [rng.getrandbits(64) for _ in range(10**4)]
+    counts = harness._popcount(np.array(words, dtype=np.uint64))
+    assert counts.tolist() == [w.bit_count() for w in words]
+
+
+def test_packed_scan_tables_have_zero_padding():
+    # a row holds 2^(2n-3) low values: 32 bits of one word at n = 4
+    for n in (4, 6, 8):
+        _, connected, sizes, unions, _, heavy_low, _ = harness._scan_tables(n)
+        row_len = 1 << (2 * n - 3)
+        for table in (connected, unions, heavy_low):
+            assert table.dtype == np.uint64 and table.shape[1] == -(-row_len // 64)
+            bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
+            assert not bits[:, row_len:].any()
+        assert sizes.tolist() == [int(b.sum()) for b in np.unpackbits(connected.view(np.uint8), axis=1)]
+
+
 def test_scan_threads_give_the_single_process_report():
     # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs; two
     # threads split on a table row boundary, three split mid-row
