@@ -26,6 +26,7 @@ from .graphs import (
     join,
     mask_from_vertices,
     matches_clique_join,
+    odd_component_counts,
     odd_components,
     parse_edge_list,
     parse_graph6,

@@ -5,11 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 import time
 from fractions import Fraction
 
-from . import harness
+import numpy as np
+
+from . import __version__, harness
 from .graphs import (
     CapacityError,
     FamilySpec,
@@ -58,6 +61,11 @@ def _emit_json(command: str, params: dict, result: dict):
         "command": command,
         "params": params,
         "result": result,
+        "provenance": {
+            "specmatch": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     print(json.dumps(payload, indent=2, default=str))
 

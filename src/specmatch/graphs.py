@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 VERTEX_CAP = 64
+_BRUTE_CAP = 16  # order cap of the exponential subset tables and oracles
 
 
 class CapacityError(ValueError):
@@ -313,6 +314,30 @@ def is_connected(g: Graph, excluded: int = 0) -> bool:
 def odd_components(g: Graph, removed: int) -> int:
     """o(G-S): number of odd-order components after deleting the mask S."""
     return sum(1 for comp in components(g, removed) if comp.bit_count() % 2)
+
+
+def odd_component_counts(g: Graph) -> list[int]:
+    """o(G[T]) for every vertex mask T, indexed by T; one pass over 2^n masks, n <= 16.
+
+    reach[T] = N(T) is built from reach[T - low] with low the lowest vertex of
+    T. The component C of that vertex in G[T] grows by C <- (C | N(C)) & T,
+    reading N(C) from the table (C <= T), and o(G[T]) = |C| mod 2 + o(G[T - C]).
+    """
+    n = g.n
+    if n > _BRUTE_CAP:
+        raise ParameterError(f"subset DP capped at n={_BRUTE_CAP}, got {n}")
+    rows = g.rows
+    reach = [0] * (1 << n)
+    odd = [0] * (1 << n)
+    for t in range(1, 1 << n):
+        low = t & -t
+        reach[t] = reach[t ^ low] | rows[low.bit_length() - 1]
+        comp, grown = 0, low
+        while grown != comp:
+            comp = grown
+            grown = (comp | reach[comp]) & t
+        odd[t] = (comp.bit_count() & 1) + odd[t ^ comp]
+    return odd
 
 
 def isolated_count(g: Graph, removed: int) -> int:

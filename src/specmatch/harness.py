@@ -548,7 +548,8 @@ def _scan_range(
             connected[-1:] &= _pack(np.arange(row_len)[None] < stop - last)
             row_counts[[0, -1]] = _popcount(connected[[0, -1]]).sum(axis=1)
         interesting = connected & ~np.bitwise_or.reduce(unions[byte_index[:, highs]])
-        heavy = interesting & heavy_low[np.clip(m_max - high_edges[highs], 0, low_bits)]
+        budget = np.minimum(np.maximum(m_max - high_edges[highs], 0), low_bits)
+        heavy = interesting & heavy_low[budget]
         no_pm = int(_popcount(interesting).sum())
         survivors = ()
         if heavy.any():

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    _BRUTE_CAP,
     Graph,
     ParameterError,
     _iter_bits,
     isolated_count,
+    odd_component_counts,
     odd_components,
     vertices_from_mask,
 )
@@ -172,9 +174,6 @@ def has_perfect_matching(g: Graph) -> bool:
 # brute-force oracles (independent of the blossom code path)
 
 
-_BRUTE_CAP = 16
-
-
 def has_pm_bruteforce(g: Graph) -> bool:
     """Perfect matching decision by subset dynamic programming; n <= 16."""
     n = g.n
@@ -200,13 +199,17 @@ def has_pm_bruteforce(g: Graph) -> bool:
 
 
 def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
-    """(max over S of o(G-S) - |S|, first maximizing S); exhaustive over 2^n subsets."""
-    if g.n > _BRUTE_CAP:
-        raise ParameterError(f"brute force capped at n={_BRUTE_CAP}, got {g.n}")
+    """(max over S of o(G-S) - |S|, first maximizing S in mask order); n <= 16.
+
+    Exhaustive over all 2^n sets S; o(G-S) is read from the one table
+    `odd_component_counts(g)` at index V - S.
+    """
+    odd = odd_component_counts(g)
+    full = g.full_mask
     best_def = -(g.n + 1)
     best_mask = 0
     for mask in range(1 << g.n):
-        d = odd_components(g, mask) - mask.bit_count()
+        d = odd[full ^ mask] - mask.bit_count()
         if d > best_def:
             best_def = d
             best_mask = mask

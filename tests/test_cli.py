@@ -2,10 +2,13 @@
 
 import io
 import json
+import platform
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import specmatch
 import specmatch.cli
 import specmatch.matching
 from specmatch import (
@@ -49,6 +52,11 @@ def test_family_json_envelope(capsys):
     assert payload["tool"] == "specmatch"
     assert payload["schema"] == 1
     assert payload["command"] == "family"
+    assert payload["provenance"] == {
+        "specmatch": specmatch.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
     assert payload["params"] == {"n": 14, "k": 1}
     result = payload["result"]
     assert parse_graph6(result["graph6"]) == extremal_family(14, 1)

@@ -24,6 +24,7 @@ from specmatch import (
     join,
     mask_from_vertices,
     matches_clique_join,
+    odd_component_counts,
     odd_components,
     parse_edge_list,
     parse_graph6,
@@ -250,6 +251,19 @@ def test_odd_components_and_isolated():
     hub_and_cliques = barrier_family(FamilySpec(14, 1, (1, 1, 11)))
     assert odd_components(hub_and_cliques, 0b1) == 3
     assert isolated_count(hub_and_cliques, 0b1) == 2
+
+
+def test_odd_component_counts_against_odd_components():
+    rng = random.Random(15)
+    graphs = [Graph(0), Graph(1), complete_graph(2), complete_graph(7), empty_graph(6)]
+    graphs += [_random_graph(rng, rng.randrange(1, 11), rng.uniform(0.05, 0.8)) for _ in range(60)]
+    for g in graphs:
+        odd = odd_component_counts(g)
+        assert len(odd) == 1 << g.n
+        assert odd == [odd_components(g, g.full_mask ^ t) for t in range(1 << g.n)]
+    assert odd_component_counts(empty_graph(6))[0b101101] == 4
+    with pytest.raises(ParameterError, match="capped at n=16, got 17"):
+        odd_component_counts(empty_graph(17))
 
 
 def test_k_connectivity_known_cases():

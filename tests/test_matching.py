@@ -11,6 +11,7 @@ from specmatch import (
     ParameterError,
     complete_graph,
     empty_graph,
+    enumerate_graphs,
     extremal_family,
     fractional_pm_witness,
     fractional_violator,
@@ -154,6 +155,25 @@ def test_tutte_deficiency_matches_berge():
         deficiency, mask = tutte_deficiency_bruteforce(g)
         assert deficiency == n - 2 * matching_number(g)
         assert odd_components(g, mask) - mask.bit_count() == deficiency
+
+
+def _tutte_deficiency_reference(g):
+    # one component search per S, scanned in increasing mask order
+    best = (-(g.n + 1), 0)
+    for mask in range(1 << g.n):
+        d = odd_components(g, mask) - mask.bit_count()
+        if d > best[0]:
+            best = (d, mask)
+    return best
+
+
+def test_tutte_deficiency_equals_reference_loop():
+    # same deficiency and the same first maximizing S
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    rng = random.Random(43)
+    graphs += [_random_graph(rng, rng.randrange(1, 13), rng.uniform(0.05, 0.9)) for _ in range(300)]
+    for g in graphs:
+        assert tutte_deficiency_bruteforce(g) == _tutte_deficiency_reference(g), write_graph6(g)
 
 
 def test_tutte_certificate_above_oracle_cap():
