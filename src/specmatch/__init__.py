@@ -65,7 +65,6 @@ from .quotient import (
     BracketError,
     CertifiedRoot,
     ExactPolynomial,
-    QuotientMatrix,
     char_poly,
     family_quartic,
     family_quartic_root,

@@ -263,7 +263,7 @@ def _cmd_quotient(args) -> int:
     root = family_quartic_root(args.n, args.s, width=width)
     agree = computed.coefficients == poly.coefficients
     result = {
-        "quotient": [[str(e) for e in row] for row in q.entries],
+        "quotient": [[str(e) for e in row] for row in q],
         "char_poly": [str(c) for c in computed.coefficients],
         "closed_form": [str(c) for c in poly.coefficients],
         "coefficients_agree": agree,
@@ -274,7 +274,7 @@ def _cmd_quotient(args) -> int:
         _emit_json("quotient", {"n": args.n, "s": args.s}, result)
     else:
         print(f"quotient matrix (blocks hub | {args.s}K1 | K3 | K{args.n - 2 * args.s - 3}):")
-        for row in q.entries:
+        for row in q:
             print("  " + "  ".join(f"{str(e):>6}" for e in row))
         print(f"char poly coefficients: {[str(c) for c in computed.coefficients]}")
         print(f"closed form matches: {'yes' if agree else 'NO'}")

@@ -8,7 +8,8 @@ the parameters of the check) or None. The suites call the predicates, and
 replay_violation calls the same predicate on a recorded witness. Every strict
 ordering of a radius estimate against a reference is decided by
 compare_estimates; when the reference is a threshold graph, it is the graph's
-exact root. The saturated-graph reduction decides on exact leading minors.
+exact root. The saturated-graph reduction decides on exact leading minors of
+the graph-free quotients in quotient.py.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from .graphs import (
     Graph,
     ParameterError,
     barrier_family,
-    complete_graph,
-    disjoint_union,
-    empty_graph,
     extremal_family,
     is_connected,
     is_k_connected,
-    join,
     matches_clique_join,
     odd_components,
     parse_graph6,
@@ -53,7 +50,10 @@ from .matching import (
 )
 from .quotient import (
     CertifiedRoot,
-    char_poly,
+    _minor_certificate,
+    _odd_parts,
+    _saturated_quotient,
+    _saturated_root,
     family_quartic,
     family_quartic_root,
     gap_bound_at_radius_floor,
@@ -61,13 +61,10 @@ from .quotient import (
     gap_bound_cubic_deriv,
     gap_bound_floor_deriv,
     hub_gap_coefficient,
-    largest_root,
-    quotient_matrix,
 )
 from .spectra import (
     Ordering,
     compare_estimates,
-    distance_matrix,
     distance_spectral_radii,
     distance_spectral_radius,
     wiener_index,
@@ -148,36 +145,19 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 # threshold references
 
 
-def threshold_reference(n: int) -> tuple[Graph, list[list[int]], CertifiedRoot]:
-    """Minimum-radius graph without a perfect matching among connected graphs
-    of even order n, its equitable partition, and its exact radius bracket.
-
-    K_{n/2-1} v (n/2+1)K_1 for n <= 8, K_1 v (K_{n-3} u 2K_1) for n >= 10.
-    The root is isolated once per order; each call gets its own partition.
-    """
+@functools.cache
+def threshold_reference(n: int) -> CertifiedRoot:
+    """Exact radius bracket of the minimum-radius connected graph of even order
+    n without a perfect matching, K_{n/2-1} v (n/2+1)K_1 for n <= 8 and
+    K_1 v (K_{n-3} u 2K_1) for n >= 10: isolated once per order from its
+    saturated quotient, so no graph is built at any n."""
     if n < 4 or n % 2:
         raise ParameterError(f"even order >= 4 required, got {n}")
-    g, partition, root = _threshold_reference(n)
-    return g, [list(block) for block in partition], root
-
-
-@functools.cache
-def _threshold_reference(n: int) -> tuple[Graph, tuple[tuple[int, ...], ...], CertifiedRoot]:
-    if n <= 8:
-        hub = n // 2 - 1
-        g = join(complete_graph(hub), empty_graph(n // 2 + 1))
-        partition = (tuple(range(hub)), tuple(range(hub, n)))
-    else:
-        g = join(complete_graph(1), disjoint_union(complete_graph(n - 3), empty_graph(2)))
-        partition = ((0,), tuple(range(1, n - 2)), (n - 2, n - 1))
-    dist = distance_matrix(g)
-    poly = char_poly(quotient_matrix(dist.tolist(), partition))
-    lo = Fraction(int(dist.sum()), n)
-    hi = Fraction(int(dist.sum(axis=1).max()))
-    return g, partition, largest_root(poly, lo, hi)
+    return _saturated_root(*_reference_parts(n))
 
 
 def _reference_parts(n: int) -> tuple[int, tuple[int, ...]]:
+    """The threshold graph of order n as a saturated spec (s, parts)."""
     if n <= 8:
         return n // 2 - 1, (1,) * (n // 2 + 1)
     return 1, (1, 1, n - 3)
@@ -402,7 +382,7 @@ def _check_threshold_order(
     bracket comparison run in turn; `counts` tallies the stage that decided g."""
     if not admitted and (not is_connected(g) or has_perfect_matching(g)):
         return None
-    ref = threshold_reference(n)[2] if ref is None else ref
+    ref = threshold_reference(n) if ref is None else ref
     counts = dict.fromkeys(_FUNNEL_KEYS, 0) if counts is None else counts
     if matches_clique_join(g, *_reference_parts(n)):
         counts["extremal_matches"] += 1
@@ -573,11 +553,12 @@ def _scan_range(
 
 @functools.cache
 def _scan_constants(n: int) -> tuple[str, CertifiedRoot, int]:
-    """The threshold graph's graph6 and root, and the edge cutoff m_max: an
-    edge count at or below it gives 2W/n > threshold, as W >= 2 C(n,2) - m."""
-    g, _, root = _threshold_reference(n)
+    """Threshold graph6 (barrier_family layout), root, and edge cutoff m_max: at
+    most m_max edges give 2W/n > threshold, as W >= 2 C(n,2) - m."""
+    g6 = write_graph6(barrier_family(FamilySpec(n, *_reference_parts(n))))
+    root = threshold_reference(n)
     bound = (Fraction(2 * n * (n - 1)) - n * root.hi) / 2
-    return write_graph6(g), root, (bound.numerator - 1) // bound.denominator if bound > 0 else -1
+    return g6, root, (bound.numerator - 1) // bound.denominator if bound > 0 else -1
 
 
 def pm_threshold_scan(
@@ -597,7 +578,9 @@ def pm_threshold_scan(
     spanning H = K_s v (K_{n1} u ... u K_{n_{s+2}}), s >= 1, n_i odd, without
     a perfect matching (Lovasz & Plummer, Matching Theory, 1986). If G != H,
     D(G) >= D(H) and unequal, so mu(G) > mu(H) by Perron-Frobenius. Each H is
-    decided exactly by _minor_certificate (Berman & Plemmons, 1994, ch. 6).
+    decided exactly on its quotient by _minor_certificate (Berman & Plemmons,
+    1994, ch. 6) against threshold_reference(n), itself the root of the
+    threshold spec's quotient. A spec's graph is built only to record it.
     """
     if n < 4 or n % 2 or n > VERTEX_CAP:
         raise ParameterError(f"even order 4 <= n <= {VERTEX_CAP} required, got {n}")
@@ -635,54 +618,13 @@ def pm_threshold_scan(
     return report
 
 
-def _odd_parts(total: int, count: int, low: int = 1) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples of `count` odd parts >= low that sum to `total`."""
-    if count == 1:
-        return [(total,)] if total >= low and total % 2 else []
-    return [
-        (part, *rest)
-        for part in range(low, total // count + 1, 2)
-        for rest in _odd_parts(total - part, count - 1, part)
-    ]
-
-
-def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
-    """Distance quotient of K_s v (K_{n1} u ... u K_{nq}) on the hub and one
-    cell per part order m, holding all c_m parts of that order."""
-    cells = [(m, len(list(same))) for m, same in itertools.groupby(parts)]
-    rows = [[s - 1] + [c * m for m, c in cells]]
-    for m, c in cells:
-        rows.append([s] + [m - 1 + 2 * (c - 1) * m if m2 == m else 2 * c2 * m2 for m2, c2 in cells])
-    return rows
-
-
-def _minor_certificate(rows: list[list[int]], t: Fraction) -> int | None:
-    """Order of the first leading principal minor of uI - vQ (t = u/v) that
-    proves rho(Q) > t by being <= 0 (or < 0 for the determinant), else None:
-    for Q nonnegative, irreducible and similar to a symmetric matrix, all
-    positive makes uI - vQ a nonsingular M-matrix (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6). The
-    minors are the pivots of fraction-free Bareiss elimination in ints."""
-    u, v, size, prev = t.numerator, t.denominator, len(rows), 1
-    a = [[u * (i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    for k in range(size):
-        pivot = a[k][k]
-        if pivot < 0 or (pivot == 0 and k < size - 1):
-            return k + 1
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return None
-
-
 def _check_saturated_order(
     g: Graph | None, n: int, s: int, parts: list[int], reference=None
 ) -> dict | None:
     """K_s v (K_{n1} u ... u K_{nq}) of order n is strictly above the threshold
     root's bracket `reference` (lo, hi), or is the threshold graph with its
     root in (lo, hi]. Decided on the quotient; g=None builds g only to record."""
-    root = _threshold_reference(n)[2]
+    root = threshold_reference(n)
     lo, hi = map(Fraction, reference or (root.lo, root.hi))
     spec = (s, tuple(parts))
     above = functools.partial(_minor_certificate, _saturated_quotient(*spec))
@@ -868,7 +810,7 @@ def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None) -> dict | N
     """g, the fractional threshold graph of order n, is strictly above the
     exact root of the plain threshold graph K_1 v (K_{n-3} u 2K_1), which is
     the Theorem 11 reference for n >= 10."""
-    return _check_above("corollary-order", g, threshold_reference(n)[2], tol, est_f, n=n)
+    return _check_above("corollary-order", g, threshold_reference(n), tol, est_f, n=n)
 
 
 def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
@@ -882,7 +824,7 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> S
     for n in range(n_lo, n_hi + 1, 2):
         g_frac = extremal_family(n, 1)
         est_f = distance_spectral_radius(g_frac, tol)
-        margins[n] = est_f.lo - float(threshold_reference(n)[2].hi)
+        margins[n] = est_f.lo - float(threshold_reference(n).hi)
         _record(report, _check_corollary_order(g_frac, n, tol, est_f))
     report.extras["margins"] = margins
     report.seconds = time.perf_counter() - t0
@@ -928,6 +870,8 @@ def lemma_suites(
     (1e-8); and the two thresholds compare correctly on even orders in
     `corollary_span`.
     """
+    if min(monotonicity_graphs, ordering_specs) < 0:
+        raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = SuiteReport(
@@ -1000,6 +944,9 @@ def identity_suite(
     certified decreasing. All arithmetic is over Fractions, so the stated
     1e-6 tolerances are met with exact zeros.
     """
+    if min(grid_span, k_top) < 0 or min(ks, default=1) < 1 or not (ks or k_top):
+        got = f"ks={ks}, grid_span={grid_span}, k_top={k_top}"
+        raise ParameterError(f"need every k >= 1, spans >= 0 and at least one case, got {got}")
     t0 = time.perf_counter()
     report = SuiteReport("identities", {"ks": list(ks), "grid_span": grid_span, "k_top": k_top})
 

@@ -7,11 +7,16 @@ here is exact: Fraction entries, Faddeev-LeVerrier characteristic
 polynomials, and bisection with rational endpoints whose root brackets are
 proved by Descartes' rule of signs and the intermediate value theorem, so
 downstream comparisons against float estimates inherit hard guarantees.
+
+A saturated spec (s, parts), the graph K_s v (K_{n1} u ... u K_{nq}), needs
+no graph: its quotient, its root and its order against a rational t (by the
+leading principal minors of tI - Q) all come from the spec alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,17 +51,11 @@ def _as_blocks(partition: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return blocks
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Block-averaged matrix of an equitable partition; entries are exact Fractions."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-
 def quotient_matrix(
     matrix: Sequence[Sequence[int]], partition: Sequence[Sequence[int]]
-) -> QuotientMatrix:
-    """Entry (i,j) is the common row sum from block i into block j.
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the block quotient of an equitable partition, exact Fractions:
+    entry (i,j) is the common row sum from block i into block j.
 
     Raises ParameterError when the partition is not equitable for the matrix,
     since the quotient only carries spectral information in that case.
@@ -72,7 +71,7 @@ def quotient_matrix(
                 raise ParameterError("partition is not equitable for this matrix")
             row.append(Fraction(sums.pop()))
         rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,9 @@ class ExactPolynomial:
         )
 
 
-def char_poly(q: QuotientMatrix | Iterable[Iterable]) -> ExactPolynomial:
+def char_poly(q: Iterable[Iterable]) -> ExactPolynomial:
     """Monic characteristic polynomial det(xI - Q) by Faddeev-LeVerrier, exact."""
-    entries = q.entries if isinstance(q, QuotientMatrix) else tuple(
-        tuple(Fraction(v) for v in row) for row in q
-    )
+    entries = tuple(tuple(Fraction(v) for v in row) for row in q)
     t = len(entries)
     for row in entries:
         if len(row) != t:
@@ -249,6 +246,62 @@ def _family_quartic_root(n: int, s: int, width: Fraction) -> CertifiedRoot:
     lo = Fraction(n * n + (2 * s + 5) * n - 3 * s * s - 13 * s - 18, n)
     hi = Fraction(2 * n - s - 2)
     return largest_root(poly, lo, hi, width=width)
+
+
+# ---------------------------------------------------------------------------
+# saturated specs: K_s v (K_{n1} u ... u K_{nq}) as a quotient, with no graph
+
+
+def _odd_parts(total: int, count: int, low: int = 1) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples of `count` odd parts >= low that sum to `total`."""
+    if count == 1:
+        return [(total,)] if total >= low and total % 2 else []
+    return [
+        (part, *rest)
+        for part in range(low, total // count + 1, 2)
+        for rest in _odd_parts(total - part, count - 1, part)
+    ]
+
+
+def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
+    """Distance quotient of K_s v (K_{n1} u ... u K_{nq}) on the hub and one
+    cell per part order m, holding all c_m parts of that order."""
+    cells = [(m, len(list(same))) for m, same in itertools.groupby(parts)]
+    rows = [[s - 1] + [c * m for m, c in cells]]
+    for m, c in cells:
+        rows.append([s] + [m - 1 + 2 * (c - 1) * m if m2 == m else 2 * c2 * m2 for m2, c2 in cells])
+    return rows
+
+
+def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
+    """Distance spectral radius of K_s v (K_{n1} u ... u K_{nq}), isolated
+    over [2W/n, max transmission]. A row sum of the quotient is the
+    transmission of each vertex in its cell, and 2W/n is their mean."""
+    rows = _saturated_quotient(s, parts)
+    sizes = [s] + rows[0][1:]  # the hub is at distance 1 from every other cell
+    sums = [sum(row) for row in rows]
+    lo = Fraction(sum(size * t for size, t in zip(sizes, sums)), sum(sizes))
+    return largest_root(char_poly(rows), lo, max(sums), width)
+
+
+def _minor_certificate(rows: list[list[int]], t: Fraction) -> int | None:
+    """Order of the first leading principal minor of uI - vQ (t = u/v) that
+    proves rho(Q) > t by being <= 0 (or < 0 for the determinant), else None:
+    for Q nonnegative, irreducible and similar to a symmetric matrix, all
+    positive makes uI - vQ a nonsingular M-matrix (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6). The
+    minors are the pivots of fraction-free Bareiss elimination in ints."""
+    u, v, size, prev = t.numerator, t.denominator, len(rows), 1
+    a = [[u * (i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    for k in range(size):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and k < size - 1):
+            return k + 1
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return None
 
 
 # ---------------------------------------------------------------------------

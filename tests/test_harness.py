@@ -17,10 +17,12 @@ from specmatch import (
     Graph,
     ParameterError,
     barrier_family,
+    char_poly,
     complete_graph,
     corollary_comparison,
     distance_matrix,
     distance_spectral_radius,
+    disjoint_union,
     empty_graph,
     enumerate_graphs,
     extremal_family,
@@ -52,45 +54,71 @@ from specmatch.spectra import Ordering, compare_estimates
 
 
 def test_threshold_reference_closed_forms():
-    g4, partition4, root4 = threshold_reference(4)
-    assert write_graph6(g4) == "Cs"
-    assert partition4 == [[0], [1, 2, 3]]
+    root4 = threshold_reference(4)
+    assert isinstance(root4, CertifiedRoot)
     assert abs(root4.value - (2 + math.sqrt(7))) < 1e-9
-    _, _, root6 = threshold_reference(6)
+    root6 = threshold_reference(6)
     assert abs(root6.value - (7 + math.sqrt(57)) / 2) < 1e-9
-    _, _, root8 = threshold_reference(8)
+    root8 = threshold_reference(8)
     assert abs(root8.value - (5 + math.sqrt(24))) < 1e-9
-    g10, partition10, root10 = threshold_reference(10)
-    assert [len(b) for b in partition10] == [1, 7, 2]
+    root10 = threshold_reference(10)
     assert root10.width <= 1e-10
     assert root10.value > 2 + math.sqrt(7)
-    from specmatch import has_perfect_matching
-
-    for g in (g4, g10):
-        assert not has_perfect_matching(g)
 
 
 def test_threshold_root_is_isolated_once_per_order(monkeypatch):
-    import specmatch.harness as harness
+    import specmatch.quotient as quotient
 
     pm_threshold_scan(8, chunk=(3, 4096))
     calls = []
     monkeypatch.setattr(
-        harness, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
+        quotient, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
     )
     again = pm_threshold_scan(8, chunk=(5, 4096))
     assert calls == []
-    _, partition, root = threshold_reference(8)
+    root = threshold_reference(8)
     assert again.extras["reference_mu"] == [float(root.lo), float(root.hi)]
-    partition[0].append(99)  # the caller's copy, not the cached partition
-    assert threshold_reference(8)[1] == [[0, 1, 2], [3, 4, 5, 6, 7]]
 
 
 def test_threshold_reference_validation():
-    with pytest.raises(ParameterError):
-        threshold_reference(5)
-    with pytest.raises(ParameterError):
-        threshold_reference(2)
+    for n in (-2, 0, 2, 3, 5, 65):
+        with pytest.raises(ParameterError):
+            threshold_reference(n)
+    # past the graph cap the root still needs no graph
+    for n in (66, 100):
+        root = threshold_reference(n)
+        assert root.lo < root.hi and root.width <= 1e-10
+
+
+def _reference_graph(n):
+    # the threshold graph built by joins and unions, with its equitable
+    # partition: K_{n/2-1} v (n/2+1)K_1 for n <= 8, else K_1 v (K_{n-3} u 2K_1)
+    if n <= 8:
+        hub = n // 2 - 1
+        g = join(complete_graph(hub), empty_graph(n // 2 + 1))
+        return g, [list(range(hub)), list(range(hub, n))]
+    g = join(complete_graph(1), disjoint_union(complete_graph(n - 3), empty_graph(2)))
+    return g, [[0], list(range(1, n - 2)), [n - 2, n - 1]]
+
+
+def test_threshold_reference_is_the_graph_route_root():
+    # the graph-free root equals the root of the threshold graph's distance
+    # quotient over [2W/n, max transmission], bracket for bracket
+    for n in range(4, 65, 2):
+        g, cells = _reference_graph(n)
+        assert not has_perfect_matching(g) and is_connected(g)
+        dist = distance_matrix(g)
+        poly = char_poly(quotient_matrix(dist.tolist(), cells))
+        lo, hi = Fraction(int(dist.sum()), n), Fraction(int(dist.sum(axis=1).max()))
+        expected, root = largest_root(poly, lo, hi), threshold_reference(n)
+        assert (root.lo, root.hi, root.value) == (expected.lo, expected.hi, expected.value)
+        if n >= 10:
+            ref = parse_graph6(harness._scan_constants(n)[0])
+            assert matches_clique_join(ref, *harness._reference_parts(n))
+            assert not has_perfect_matching(ref)
+    # the layout of the labeled scan's reference is unchanged
+    for n, g6 in ((4, "Cs"), (6, "E}r?"), (8, "G~zfF?")):
+        assert harness._scan_constants(n)[0] == g6 == write_graph6(_reference_graph(n)[0])
 
 
 def test_verify_extremal_family_passes():
@@ -425,13 +453,13 @@ def test_saturated_quotient_and_verdict_match_the_graph():
     # compare_estimates on the graph's float estimate wherever that decides
     decided = {Ordering.GREATER: 0, Ordering.LESS: 0}
     for n in range(4, 15, 2):
-        root = threshold_reference(n)[2]
+        root = threshold_reference(n)
         for s, parts in _saturated_specs(n):
             spec = FamilySpec(n, s, parts)
             g = barrier_family(spec)
             rows = harness._saturated_quotient(s, parts)
             q = quotient_matrix(distance_matrix(g).tolist(), _merged_cells(spec))
-            assert [[Fraction(x) for x in row] for row in rows] == [list(r) for r in q.entries]
+            assert [[Fraction(x) for x in row] for row in rows] == [list(r) for r in q]
             est = distance_spectral_radius(g)
             points = [Fraction(t) for t in range(int(est.lo) - 1, int(est.hi) + 3)]
             for ref in [root] + [CertifiedRoot(float(t), t, t) for t in points]:
@@ -448,7 +476,7 @@ def test_saturated_quotient_and_verdict_match_the_graph():
 def test_saturated_reduction_names_the_scan_minimizer():
     for n, chunk in ((4, (0, 1)), (6, (0, 1)), (8, (15, 1024))):
         report = SuiteReport("theorem11", {"n": n})
-        harness._saturated_order_scan(report, n, threshold_reference(n)[2])
+        harness._saturated_order_scan(report, n, threshold_reference(n))
         assert report.passed and report.cases == len(_saturated_specs(n))
         assert report.extras == {"certified_above": report.cases - 1, "threshold_matches": 1}
         scan_reference = parse_graph6(pm_threshold_scan(n, chunk=chunk).extras["reference_g6"])
@@ -464,13 +492,13 @@ def test_scan_above_eight_is_the_saturated_reduction():
         "passed": True,
         "violations": [],
         "extras": {
-            "reference_g6": "I~~~~}?_?",
+            "reference_g6": "Ise[{}^fw",
             "reference_mu": report.extras["reference_mu"],
             "certified_above": 6,
             "threshold_matches": 1,
         },
     }
-    _, _, root = threshold_reference(10)
+    root = threshold_reference(10)
     assert report.extras["reference_mu"] == [float(root.lo), float(root.hi)]
 
 
@@ -606,6 +634,26 @@ def test_suites_reject_empty_trials():
     for trials in (0, -5):
         with pytest.raises(ParameterError, match="trials"):
             probe_extremal_bound(14, 1, trials=trials)
+
+
+def test_lemma_and_identity_suites_reject_counts_that_check_nothing():
+    for kwargs in (
+        {"ks": (), "k_top": 0},
+        {"ks": (1,), "grid_span": -2, "k_top": 0},
+        {"ks": (0,)},
+        {"ks": (1, -1)},
+        {"k_top": -1},
+    ):
+        with pytest.raises(ParameterError):
+            identity_suite(**kwargs)
+    for kwargs in ({"monotonicity_graphs": -1}, {"ordering_specs": -4}):
+        with pytest.raises(ParameterError, match="counts >= 0"):
+            lemma_suites(0, **kwargs)
+    # the smallest suites still run and check something
+    assert identity_suite(ks=(), k_top=1).cases == 2
+    assert identity_suite(ks=(1,), grid_span=0, k_top=0).cases > 0
+    small = lemma_suites(0, 0, 0, (14, 14))
+    assert small.passed and small.cases == 1
 
 
 def test_reduction_scan_rejects_chunks_and_threads():

@@ -25,6 +25,7 @@ from specmatch import (
     quotient_matrix,
     wiener_index,
 )
+from specmatch.quotient import DEFAULT_ROOT_WIDTH, _saturated_quotient, _saturated_root
 
 
 def _det(matrix):
@@ -59,7 +60,7 @@ def _char_poly_oracle_value(entries, x):
 
 def test_equitable_recognition():
     dist = distance_matrix(extremal_family(14, 1)).tolist()
-    assert len(quotient_matrix(dist, extremal_partition(14, 1)).entries) == 4
+    assert len(quotient_matrix(dist, extremal_partition(14, 1))) == 4
     # moving a singleton in with the triangle breaks equitability
     bad = [[0], [1, 2], [3, 4], list(range(5, 14))]
     with pytest.raises(ParameterError, match="not equitable"):
@@ -81,11 +82,11 @@ def test_partition_validation():
 def test_quotient_rows_for_reference_family():
     dist = distance_matrix(extremal_family(14, 1)).tolist()
     q = quotient_matrix(dist, extremal_partition(14, 1))
-    assert len(q.entries) == 4
+    assert len(q) == 4 and all(type(x) is Fraction for row in q for x in row)
     expected = [[0, 1, 3, 9], [1, 0, 6, 18], [1, 2, 2, 18], [1, 2, 6, 8]]
-    assert [[int(v) for v in row] for row in q.entries] == expected
+    assert [[int(v) for v in row] for row in q] == expected
     # block row sums are the transmissions of the block representatives
-    assert [sum(row) for row in q.entries] == [13, 25, 23, 17]
+    assert [sum(row) for row in q] == [13, 25, 23, 17]
 
 
 def test_quotient_rejects_non_equitable():
@@ -100,7 +101,7 @@ def test_char_poly_against_determinant_oracle():
     poly = char_poly(q)
     assert poly.degree == 4
     for x in (-3, -1, 0, 1, 2, 7, 20, Fraction(19, 3)):
-        assert poly(x) == _char_poly_oracle_value(q.entries, x)
+        assert poly(x) == _char_poly_oracle_value(q, x)
 
 
 def test_char_poly_random_matrices():
@@ -258,6 +259,21 @@ def test_family_quartic_root_tracks_power_iteration():
         root = family_quartic_root(n, s)
         est = distance_spectral_radius(extremal_family(n, s), tol=1e-10)
         assert abs(root.value - est.value) < 1e-8
+
+
+def test_family_quartic_root_is_the_saturated_root():
+    # the closed-form quartic and the generic saturated quotient isolate the
+    # same bracket, also at n = 2s + 6 where the two K_3 cells merge into one
+    # and the quotient is 3 x 3
+    pairs = [(n, s) for n in range(8, 41, 2) for s in range(1, (n - 6) // 2 + 1)]
+    assert len(pairs) == 153
+    grid = [(n, k) for k in (1, 2, 3) for n in range(8 * k + 6, 8 * k + 27, 2)]
+    width = Fraction(1, 10**12)
+    for (n, s), w in [(pair, DEFAULT_ROOT_WIDTH) for pair in pairs] + [(p, width) for p in grid]:
+        parts = (1,) * s + (3, n - 2 * s - 3)
+        root, generic = family_quartic_root(n, s, w), _saturated_root(s, parts, w)
+        assert (root.lo, root.hi) == (generic.lo, generic.hi), (n, s, w)
+    assert len(_saturated_quotient(2, (1, 1, 3, 3))) == 3
 
 
 def test_hub_gap_factorization_exact():
