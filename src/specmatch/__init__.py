@@ -26,7 +26,7 @@ from .graphs import (
     join,
     mask_from_vertices,
     matches_clique_join,
-    odd_component_counts,
+    odd_component_counts,  # int8 numpy array of o(G[T]), indexed by vertex mask T
     odd_components,
     parse_edge_list,
     parse_graph6,

@@ -6,6 +6,7 @@ neighborhood operations O(1) and makes exhaustive subset scans cheap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -316,27 +317,39 @@ def odd_components(g: Graph, removed: int) -> int:
     return sum(1 for comp in components(g, removed) if comp.bit_count() % 2)
 
 
-def odd_component_counts(g: Graph) -> list[int]:
-    """o(G[T]) for every vertex mask T, indexed by T; one pass over 2^n masks, n <= 16.
+@functools.cache
+def _popcounts(n: int) -> np.ndarray:
+    """|T| for every vertex mask T < 2^n, uint8, built by doubling on the top vertex."""
+    pop = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        pop[1 << v : 2 << v] = pop[: 1 << v] + 1
+    pop.setflags(write=False)  # one cached table is shared by every caller
+    return pop
 
-    reach[T] = N(T) is built from reach[T - low] with low the lowest vertex of
-    T. The component C of that vertex in G[T] grows by C <- (C | N(C)) & T,
-    reading N(C) from the table (C <= T), and o(G[T]) = |C| mod 2 + o(G[T - C]).
-    """
+
+def odd_component_counts(g: Graph) -> np.ndarray:
+    """o(G[T]) for every vertex mask T, int8 indexed by T; whole-table passes, n <= 16.
+
+    reach[T] = N(T) doubles on the top vertex. The component C of T's lowest
+    vertex grows for all T at once, C <- (C | N(C)) & T, until no entry changes;
+    o(G[T]) = |C| mod 2 + o(G[T - C]) is summed along T -> T - C -> ... -> 0 by
+    pointer doubling."""
     n = g.n
     if n > _BRUTE_CAP:
         raise ParameterError(f"subset DP capped at n={_BRUTE_CAP}, got {n}")
-    rows = g.rows
-    reach = [0] * (1 << n)
-    odd = [0] * (1 << n)
-    for t in range(1, 1 << n):
-        low = t & -t
-        reach[t] = reach[t ^ low] | rows[low.bit_length() - 1]
-        comp, grown = 0, low
-        while grown != comp:
-            comp = grown
-            grown = (comp | reach[comp]) & t
-        odd[t] = (comp.bit_count() & 1) + odd[t ^ comp]
+    # intp masks: every gather indexes with them directly, with no conversion
+    reach = np.zeros(1 << n, dtype=np.intp)
+    for v, row in enumerate(g.rows):
+        reach[1 << v : 2 << v] = reach[: 1 << v] | row
+    masks = np.arange(1 << n, dtype=np.intp)
+    comp, grown = masks, masks & -masks  # grown starts at the lowest vertex
+    while not np.array_equal(grown, comp):
+        comp, grown = grown, (grown | reach[grown]) & masks
+    odd = (_popcounts(n)[comp] & 1).view(np.int8)
+    rest = masks ^ comp
+    while rest.any():
+        odd = odd + odd[rest]
+        rest = rest[rest]
     return odd
 
 

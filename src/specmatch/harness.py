@@ -816,8 +816,8 @@ def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None) -> dict | N
 def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
     """The fractional threshold graph K_1 v (K_1 u K_3 u K_{n-5}) must sit
     strictly above the plain threshold graph K_1 v (K_{n-3} u 2K_1)."""
-    if n_lo < 14 or n_lo % 2 or n_hi < n_lo:
-        raise ParameterError(f"need even 14 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    if n_lo < 14 or n_lo % 2 or n_hi < n_lo or n_hi > VERTEX_CAP:
+        raise ParameterError(f"need even 14 <= n_lo <= n_hi <= {VERTEX_CAP}, got [{n_lo}, {n_hi}]")
     t0 = time.perf_counter()
     report = SuiteReport("corollary14", {"n_lo": n_lo, "n_hi": n_hi, "tol": tol})
     margins = {}
@@ -883,6 +883,7 @@ def lemma_suites(
             "corollary_span": list(corollary_span),
         },
     )
+    corollary = corollary_comparison(*corollary_span)  # checks the span before any other solve
     mono_tol = 1e-9
     edge_checks = 0
     for _ in range(monotonicity_graphs):
@@ -902,7 +903,6 @@ def lemma_suites(
         g = barrier_family(spec)
         _record(report, _check_family_ordering(g, spec.n, spec.s, list(spec.parts), ordering_tol))
 
-    corollary = corollary_comparison(*corollary_span)
     report.cases += corollary.cases
     report.violations.extend(corollary.violations)
     report.extras["corollary_margins"] = corollary.extras["margins"]

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     ParameterError,
     _iter_bits,
+    _popcounts,
     isolated_count,
     odd_component_counts,
     odd_components,
@@ -201,19 +202,12 @@ def has_pm_bruteforce(g: Graph) -> bool:
 def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
     """(max over S of o(G-S) - |S|, first maximizing S in mask order); n <= 16.
 
-    Exhaustive over all 2^n sets S; o(G-S) is read from the one table
-    `odd_component_counts(g)` at index V - S.
+    Exhaustive over all 2^n sets S in one table pass: o(G-S) is entry V - S
+    of `odd_component_counts(g)`, so the reversed table lines up with S.
     """
-    odd = odd_component_counts(g)
-    full = g.full_mask
-    best_def = -(g.n + 1)
-    best_mask = 0
-    for mask in range(1 << g.n):
-        d = odd[full ^ mask] - mask.bit_count()
-        if d > best_def:
-            best_def = d
-            best_mask = mask
-    return best_def, best_mask
+    deficiency = odd_component_counts(g)[::-1] - _popcounts(g.n)
+    best = int(deficiency.argmax())
+    return int(deficiency[best]), best
 
 
 # ---------------------------------------------------------------------------

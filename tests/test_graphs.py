@@ -257,11 +257,17 @@ def test_odd_component_counts_against_odd_components():
     rng = random.Random(15)
     graphs = [Graph(0), Graph(1), complete_graph(2), complete_graph(7), empty_graph(6)]
     graphs += [_random_graph(rng, rng.randrange(1, 11), rng.uniform(0.05, 0.8)) for _ in range(60)]
+    # up to the n = 16 cap of the mask tables
+    graphs += [empty_graph(16), complete_graph(16), Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])]
+    graphs += [_random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in (13, 14, 15, 16)]
     for g in graphs:
         odd = odd_component_counts(g)
         assert len(odd) == 1 << g.n
-        assert odd == [odd_components(g, g.full_mask ^ t) for t in range(1 << g.n)]
+        # every mask up to n = 14, 2,000 sampled masks above
+        ts = list(range(1 << g.n)) if g.n <= 14 else rng.sample(range(1 << g.n), 2000)
+        assert odd[ts].tolist() == [odd_components(g, g.full_mask ^ t) for t in ts]
     assert odd_component_counts(empty_graph(6))[0b101101] == 4
+    assert odd_component_counts(empty_graph(16))[-1] == 16
     with pytest.raises(ParameterError, match="capped at n=16, got 17"):
         odd_component_counts(empty_graph(17))
 

@@ -904,6 +904,19 @@ def test_corollary_comparison_window():
         corollary_comparison(20, 14)
 
 
+def test_corollary_span_is_rejected_before_any_eigensolve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the corollary span was checked")
+
+    monkeypatch.setattr(harness, "distance_spectral_radii", no_solve)
+    monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
+    for span in ((14, 66), (13, 40), (20, 14)):
+        with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):
+            lemma_suites(0, corollary_span=span)
+    with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):
+        corollary_comparison(14, 66)
+
+
 def test_identity_suite_exact_counts():
     report = identity_suite(ks=(1,), grid_span=4, k_top=5)
     assert report.passed

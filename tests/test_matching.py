@@ -172,8 +172,15 @@ def test_tutte_deficiency_equals_reference_loop():
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     rng = random.Random(43)
     graphs += [_random_graph(rng, rng.randrange(1, 13), rng.uniform(0.05, 0.9)) for _ in range(300)]
+    graphs += [_random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in (13, 13, 14, 14)]
     for g in graphs:
         assert tutte_deficiency_bruteforce(g) == _tutte_deficiency_reference(g), write_graph6(g)
+    # the n = 16 cap, with the exact first maximizing S
+    assert tutte_deficiency_bruteforce(empty_graph(16)) == (16, 0)
+    assert tutte_deficiency_bruteforce(complete_graph(16)) == (0, 0)
+    assert tutte_deficiency_bruteforce(Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])) == (0, 0)
+    assert tutte_deficiency_bruteforce(join(complete_graph(1), empty_graph(15))) == (14, 0b1)
+    assert tutte_deficiency_bruteforce(extremal_family(16, 1)) == (2, 0b1)
 
 
 def test_tutte_certificate_above_oracle_cap():
