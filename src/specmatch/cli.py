@@ -38,6 +38,7 @@ from .matching import (
     tutte_certificate,
 )
 from .quotient import (
+    DEFAULT_ROOT_WIDTH,
     BracketError,
     char_poly,
     family_quartic,
@@ -259,7 +260,7 @@ def _cmd_quotient(args) -> int:
     computed = char_poly(q)
     if args.tol is not None and not math.isfinite(args.tol):
         raise ParameterError(f"--tol must be finite, got {args.tol}")
-    width = Fraction(1, 10**10) if args.tol is None else Fraction(args.tol)
+    width = DEFAULT_ROOT_WIDTH if args.tol is None else Fraction(args.tol)
     root = family_quartic_root(args.n, args.s, width=width)
     agree = computed.coefficients == poly.coefficients
     result = {

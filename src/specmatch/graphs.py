@@ -273,32 +273,9 @@ def extremal_partition(n: int, s: int) -> list[list[int]]:
 # connectivity and components
 
 
-def components(g: Graph, excluded: int = 0) -> list[int]:
-    """Connected components of G minus the `excluded` vertex mask, as masks."""
-    avail = g.full_mask & ~excluded
-    rows = g.rows
-    comps = []
-    while avail:
-        comp = 0
-        frontier = avail & -avail
-        while frontier:
-            comp |= frontier
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & avail & ~comp
-        comps.append(comp)
-        avail &= ~comp
-    return comps
-
-
-def is_connected(g: Graph, excluded: int = 0) -> bool:
-    avail = g.full_mask & ~excluded
-    if avail == 0:
-        return True
-    rows = g.rows
+def _component(rows: list[int], avail: int) -> int:
+    """The component of the lowest vertex of the mask `avail` in G[avail],
+    by a frontier BFS; 0 when `avail` is empty."""
     comp = 0
     frontier = avail & -avail
     while frontier:
@@ -309,7 +286,24 @@ def is_connected(g: Graph, excluded: int = 0) -> bool:
             grown |= rows[low.bit_length() - 1]
             frontier ^= low
         frontier = grown & avail & ~comp
-    return comp == avail
+    return comp
+
+
+def components(g: Graph, excluded: int = 0) -> list[int]:
+    """Connected components of G minus the `excluded` vertex mask, as masks."""
+    avail = g.full_mask & ~excluded
+    comps = []
+    while avail:
+        comp = _component(g.rows, avail)
+        comps.append(comp)
+        avail &= ~comp
+    return comps
+
+
+def is_connected(g: Graph, excluded: int = 0) -> bool:
+    """True iff G minus the `excluded` vertex mask has at most one component."""
+    avail = g.full_mask & ~excluded
+    return _component(g.rows, avail) == avail
 
 
 def odd_components(g: Graph, removed: int) -> int:

@@ -816,7 +816,7 @@ def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None) -> dict | N
 def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
     """The fractional threshold graph K_1 v (K_1 u K_3 u K_{n-5}) must sit
     strictly above the plain threshold graph K_1 v (K_{n-3} u 2K_1)."""
-    if n_lo < 14 or n_lo % 2 or n_hi < n_lo or n_hi > VERTEX_CAP:
+    if n_lo < 14 or n_lo % 2 or n_hi % 2 or n_hi < n_lo or n_hi > VERTEX_CAP:
         raise ParameterError(f"need even 14 <= n_lo <= n_hi <= {VERTEX_CAP}, got [{n_lo}, {n_hi}]")
     t0 = time.perf_counter()
     report = SuiteReport("corollary14", {"n_lo": n_lo, "n_hi": n_hi, "tol": tol})

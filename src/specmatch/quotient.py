@@ -10,7 +10,8 @@ downstream comparisons against float estimates inherit hard guarantees.
 
 A saturated spec (s, parts), the graph K_s v (K_{n1} u ... u K_{nq}), needs
 no graph: its quotient, its root and its order against a rational t (by the
-leading principal minors of tI - Q) all come from the spec alone.
+leading principal minors of tI - Q) all come from the spec alone. Every
+hub-and-cliques root, `family_quartic_root` too, is a saturated spec's root.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -97,36 +99,36 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "ExactPolynomial":
-        d = self.degree
-        if d == 0:
-            return ExactPolynomial((Fraction(0),))
-        return ExactPolynomial(
-            tuple(c * (d - i) for i, c in enumerate(self.coefficients[:-1]))
-        )
-
 
 def char_poly(q: Iterable[Iterable]) -> ExactPolynomial:
-    """Monic characteristic polynomial det(xI - Q) by Faddeev-LeVerrier, exact."""
+    """Monic det(xI - Q) by Faddeev-LeVerrier on the integer matrix A = dQ, d
+    the lcm of Q's denominators: each c_k of det(xI - A) divides exactly, and
+    det(xI - Q) has the coefficients c_k / d^k."""
     entries = tuple(tuple(Fraction(v) for v in row) for row in q)
     t = len(entries)
     for row in entries:
         if len(row) != t:
             raise ParameterError("matrix must be square")
+    d = math.lcm(*(v.denominator for row in entries for v in row))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
     coeffs = [Fraction(1)]
-    # M_0 = I; M_k = Q M_{k-1} + c_{k-1} I, c_k = -tr(Q M_k)/k
-    m = [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
+    # M_0 = I; M_k = A M_{k-1} + c_k I, c_k = -tr(A M_{k-1})/k
+    am = [row[:] for row in a]
     for k in range(1, t + 1):
-        qm = [
-            [sum(entries[i][l] * m[l][j] for l in range(t)) for j in range(t)]
-            for i in range(t)
-        ]
-        c = -sum(qm[i][i] for i in range(t)) / k
-        coeffs.append(c)
+        c = -sum(am[i][i] for i in range(t)) // k
+        coeffs.append(Fraction(c, d**k))
         for i in range(t):
-            qm[i][i] += c
-        m = qm
+            am[i][i] += c
+        cols = list(zip(*am))
+        am = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
     return ExactPolynomial(tuple(coeffs))
+
+
+def _check_family(n: int, s: int) -> None:
+    if s < 1:
+        raise ParameterError(f"hub size must be positive, got {s}")
+    if n < 2 * s + 6:
+        raise ParameterError(f"need n >= 2s+6 = {2 * s + 6}, got {n}")
 
 
 def family_quartic(n: int, s: int) -> ExactPolynomial:
@@ -137,10 +139,7 @@ def family_quartic(n: int, s: int) -> ExactPolynomial:
     with a fixed connectivity target, which is what makes the coefficient
     difference linear in the hub gap (see hub_gap_coefficient).
     """
-    if s < 1:
-        raise ParameterError(f"hub size must be positive, got {s}")
-    if n < 2 * s + 6:
-        raise ParameterError(f"need n >= 2s+6 = {2 * s + 6}, got {n}")
+    _check_family(n, s)
     return ExactPolynomial(
         (
             Fraction(1),
@@ -165,15 +164,14 @@ class CertifiedRoot:
         return self.hi - self.lo
 
 
-def _shifted_signs(coefficients: Sequence[int], a: Fraction) -> tuple[int, int]:
+def _shifted_signs(coefficients: Sequence[int], u: int, v: int) -> tuple[int, int]:
     """Sign changes in the coefficients of p(x + a), and the sign of p(a), for
-    p with integer `coefficients`, highest degree first.
+    p with integer `coefficients`, highest degree first, and a = u/v, v > 0.
 
-    With a = u/v and y = v x, v^d p(x + a) is sum_i c_i v^i (y + u)^(d-i): its
+    With y = v x, v^d p(x + a) is sum_i c_i v^i (y + u)^(d-i): its
     coefficients are positive multiples of those of p(x + a), so the Taylor
     shift by u (repeated synthetic division) runs in integers.
     """
-    u, v = a.numerator, a.denominator
     c = [ci * v**i for i, ci in enumerate(coefficients)]
     d = len(c) - 1
     for i in range(d):
@@ -212,40 +210,39 @@ def largest_root(
         raise ParameterError("constant polynomial has no roots")
     scale = math.lcm(*(c.denominator for c in poly.coefficients))
     coefficients = [int(c * scale) for c in poly.coefficients]
-    changes, sign = _shifted_signs(coefficients, hi)
+    changes, sign = _shifted_signs(coefficients, hi.numerator, hi.denominator)
     if changes:
         raise BracketError(f"Descartes' rule allows a root above {hi}")
+    # the bracket is [a/v, b/v] in integers; each halving doubles v
+    v = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (v // lo.denominator), hi.numerator * (v // hi.denominator)
     if sign == 0:
-        lo = hi
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        changes, sign = _shifted_signs(coefficients, mid)
+        a = b
+    width = Fraction(width)
+    while (b - a) * width.denominator > width.numerator * v:
+        mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
+        changes, sign = _shifted_signs(coefficients, mid, v)
         if changes:
-            lo = mid
+            a = mid
         elif sign == 0:
-            lo = hi = mid
+            a = b = mid
         else:
-            hi = mid
+            b = mid
+    lo, hi = Fraction(a, v), Fraction(b, v)
     if poly(lo) * poly.coefficients[0] > 0:
         raise BracketError("no sign change inside the bracket")
     return CertifiedRoot(value=float((lo + hi) / 2), lo=lo, hi=hi)
 
 
 def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
-    """Largest quartic root over the canonical bracket [2W/n, max transmission].
+    """Largest root of family_quartic(n, s), isolated as the saturated spec
+    (s, (1^s, 3, n-2s-3)) over [2W/n, max transmission].
 
     Each (n, s, width) root is isolated once per process; the frozen
     CertifiedRoot is shared between callers.
     """
-    return _family_quartic_root(n, s, width)
-
-
-@functools.cache
-def _family_quartic_root(n: int, s: int, width: Fraction) -> CertifiedRoot:
-    poly = family_quartic(n, s)
-    lo = Fraction(n * n + (2 * s + 5) * n - 3 * s * s - 13 * s - 18, n)
-    hi = Fraction(2 * n - s - 2)
-    return largest_root(poly, lo, hi, width=width)
+    _check_family(n, s)
+    return _saturated_root(s, (1,) * s + (3, n - 2 * s - 3), width)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +270,11 @@ def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
+@functools.cache
 def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
     """Distance spectral radius of K_s v (K_{n1} u ... u K_{nq}), isolated
-    over [2W/n, max transmission]. A row sum of the quotient is the
-    transmission of each vertex in its cell, and 2W/n is their mean."""
+    over [2W/n, max transmission] once per process and width. A row sum of
+    the quotient is each cell's transmission, and 2W/n is their mean."""
     rows = _saturated_quotient(s, parts)
     sizes = [s] + rows[0][1:]  # the hub is at distance 1 from every other cell
     sums = [sum(row) for row in rows]

@@ -353,6 +353,9 @@ def test_verify_corollary14(capsys):
     code, out, _ = run(capsys, "verify", "corollary14", "--n", "20")
     assert code == 0
     assert "corollary14: PASS (4 cases, 0 violations" in out
+    # an odd top order would end the span one short of it
+    code, out, err = run(capsys, "verify", "corollary14", "--n", "41")
+    assert code == 2 and "n_lo <= n_hi <= 64" in err and out == ""
 
 
 def test_verify_corollary14_passes_tolerance(capsys):

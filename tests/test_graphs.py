@@ -238,6 +238,9 @@ def test_components_against_oracle():
         got = {frozenset(vertices_from_mask(c)) for c in components(g, mask_from_vertices(removed))}
         assert got == set(_components_oracle(g, removed))
         assert is_connected(g) == (len(_components_oracle(g)) <= 1)
+        # G - S for the sampled S and for S = V, where nothing is left
+        for cut in (removed, range(n)):
+            assert is_connected(g, mask_from_vertices(cut)) == (len(_components_oracle(g, cut)) <= 1)
 
 
 def test_odd_components_and_isolated():

@@ -910,7 +910,7 @@ def test_corollary_span_is_rejected_before_any_eigensolve(monkeypatch):
 
     monkeypatch.setattr(harness, "distance_spectral_radii", no_solve)
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
-    for span in ((14, 66), (13, 40), (20, 14)):
+    for span in ((14, 66), (13, 40), (20, 14), (14, 41)):
         with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):
             lemma_suites(0, corollary_span=span)
     with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):

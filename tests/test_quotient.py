@@ -105,10 +105,15 @@ def test_char_poly_against_determinant_oracle():
 
 
 def test_char_poly_random_matrices():
+    # integer entries, then rational ones: the integer recurrence on dQ has
+    # to come back to det(xI - Q) through the scale d = lcm of denominators
     rng = random.Random(13)
-    for _ in range(25):
+    for trial in range(75):
         t = rng.randrange(1, 6)
-        entries = [[rng.randrange(-5, 6) for _ in range(t)] for _ in range(t)]
+        if trial < 25:
+            entries = [[rng.randrange(-5, 6) for _ in range(t)] for _ in range(t)]
+        else:
+            entries = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(t)] for _ in range(t)]
         poly = char_poly(entries)
         assert poly.degree == t
         assert poly.coefficients[0] == 1
@@ -142,7 +147,6 @@ def test_exact_polynomial_basics():
     assert p(1) == 0 and p(2) == 0 and p(3) == 2
     assert p(Fraction(1, 2)) == Fraction(3, 4)
     assert isinstance(p(1.5), float)
-    assert p.derivative().coefficients == (Fraction(2), Fraction(-3))
     assert p.coefficients == (1, -3, 2)
     with pytest.raises(ParameterError):
         ExactPolynomial(())
@@ -262,18 +266,29 @@ def test_family_quartic_root_tracks_power_iteration():
 
 
 def test_family_quartic_root_is_the_saturated_root():
-    # the closed-form quartic and the generic saturated quotient isolate the
-    # same bracket, also at n = 2s + 6 where the two K_3 cells merge into one
-    # and the quotient is 3 x 3
+    # family_quartic_root is the saturated spec's root; the closed-form route
+    # it replaced (the quartic over [2W/n, 2n - s - 2] in closed form) stays
+    # here as the reference and isolates the same bracket, also at odd n and
+    # at n = 2s + 6, where the two K_3 cells merge into one 3 x 3 quotient
+    def closed_form_root(n, s, w):
+        lo = Fraction(n * n + (2 * s + 5) * n - 3 * s * s - 13 * s - 18, n)
+        return largest_root(family_quartic(n, s), lo, 2 * n - s - 2, w)
+
     pairs = [(n, s) for n in range(8, 41, 2) for s in range(1, (n - 6) // 2 + 1)]
     assert len(pairs) == 153
+    odd = [(n, s) for n in range(7, 42, 2) for s in range(1, (n - 6) // 2 + 1)]
     grid = [(n, k) for k in (1, 2, 3) for n in range(8 * k + 6, 8 * k + 27, 2)]
     width = Fraction(1, 10**12)
-    for (n, s), w in [(pair, DEFAULT_ROOT_WIDTH) for pair in pairs] + [(p, width) for p in grid]:
-        parts = (1,) * s + (3, n - 2 * s - 3)
-        root, generic = family_quartic_root(n, s, w), _saturated_root(s, parts, w)
-        assert (root.lo, root.hi) == (generic.lo, generic.hi), (n, s, w)
+    cases = [(p, DEFAULT_ROOT_WIDTH) for p in pairs + odd] + [(p, width) for p in grid + odd]
+    for (n, s), w in cases:
+        root, expected = family_quartic_root(n, s, w), closed_form_root(n, s, w)
+        assert (root.lo, root.hi) == (expected.lo, expected.hi), (n, s, w)
+        assert root == _saturated_root(s, (1,) * s + (3, n - 2 * s - 3), w)
     assert len(_saturated_quotient(2, (1, 1, 3, 3))) == 3
+    # (n, s) is checked before any root work, with family_quartic's messages
+    for n, s, message in ((14, 0, "hub size must be positive"), (13, 4, "need n >= 2s\\+6")):
+        with pytest.raises(ParameterError, match=message):
+            family_quartic_root(n, s)
 
 
 def test_hub_gap_factorization_exact():
@@ -297,6 +312,11 @@ def test_gap_bound_cubic_is_doubled_extreme_hub():
         assert gap_bound_cubic(mu, n, k) == 2 * hub_gap_coefficient(s_extreme, n, k, mu)
 
 
+def _derivative(p):
+    d = p.degree
+    return ExactPolynomial(tuple(c * (d - i) for i, c in enumerate(p.coefficients[:-1])))
+
+
 def test_gap_bound_cubic_derivative_consistent():
     rng = random.Random(19)
     for _ in range(30):
@@ -312,7 +332,7 @@ def test_gap_bound_cubic_derivative_consistent():
         )
         mu = Fraction(rng.randrange(0, 200), rng.randrange(1, 7))
         assert cubic(mu) == gap_bound_cubic(mu, n, k)
-        assert cubic.derivative()(mu) == gap_bound_cubic_deriv(mu, n, k)
+        assert _derivative(cubic)(mu) == gap_bound_cubic_deriv(mu, n, k)
 
 
 def test_radius_floor_values():
@@ -338,5 +358,5 @@ def test_radius_floor_derivative_consistent():
         )
         for n in range(8 * k + 6, 8 * k + 30, 2):
             assert floor_poly(n) == gap_bound_at_radius_floor(n, k)
-            assert floor_poly.derivative()(n) == gap_bound_floor_deriv(n, k)
+            assert _derivative(floor_poly)(n) == gap_bound_floor_deriv(n, k)
             assert gap_bound_floor_deriv(n, k) < 0
