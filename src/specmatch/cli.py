@@ -103,11 +103,18 @@ def _load_graph(args) -> Graph:
     raise ParameterError("provide a graph via --g6 or --edges")
 
 
-def _emit_graph(g: Graph, fmt: str):
-    if fmt == "edges":
+def _emit_graph(args, params: dict, g: Graph, partition: list[list[int]]) -> int:
+    """A built family graph: its JSON envelope with `partition`, or the graph
+    in --format."""
+    if args.json:
+        size = g.edge_count()
+        result = {"graph6": write_graph6(g), "order": g.n, "size": size, "partition": partition}
+        _emit_json(args.command, params, result)
+    elif args.format == "edges":
         sys.stdout.write(write_edge_list(g))
     else:
         print(write_graph6(g))
+    return 0
 
 
 def _progress_printer():
@@ -129,39 +136,13 @@ def _progress_printer():
 
 def _cmd_family(args) -> int:
     g = extremal_family(args.n, args.k)
-    if args.json:
-        _emit_json(
-            "family",
-            {"n": args.n, "k": args.k},
-            {
-                "graph6": write_graph6(g),
-                "order": g.n,
-                "size": g.edge_count(),
-                "partition": extremal_partition(args.n, args.k),
-            },
-        )
-    else:
-        _emit_graph(g, args.format)
-    return 0
+    return _emit_graph(args, {"n": args.n, "k": args.k}, g, extremal_partition(args.n, args.k))
 
 
 def _cmd_proof_family(args) -> int:
     spec = FamilySpec(args.n, args.s, _parse_parts(args.parts))
-    g = barrier_family(spec)
-    if args.json:
-        _emit_json(
-            "proof-family",
-            {"n": args.n, "s": args.s, "parts": list(spec.parts)},
-            {
-                "graph6": write_graph6(g),
-                "order": g.n,
-                "size": g.edge_count(),
-                "partition": family_partition(spec),
-            },
-        )
-    else:
-        _emit_graph(g, args.format)
-    return 0
+    params = {"n": args.n, "s": args.s, "parts": list(spec.parts)}
+    return _emit_graph(args, params, barrier_family(spec), family_partition(spec))
 
 
 def _cmd_spectra(args) -> int:
@@ -290,9 +271,9 @@ _VERIFY_OPTIONS = {
     "lemmas": {"seed": 0},
     "theorem11": {"n": None, "chunk": "0/1", "threads": 1},
     "theorem13-family": {"n": None, "k": None, "tol": 1e-8},
-    "ordering-chain": {"n": None, "s": None, "parts": None, "k": None, "tol": 1e-8},
+    "ordering-chain": {"n": None, "s": None, "parts": None, "k": None},
     "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "tol": 1e-8, "exploratory": False},
-    "corollary14": {"n": 40, "tol": 1e-8},
+    "corollary14": {"n": 40},
 }
 
 
@@ -317,7 +298,7 @@ def _cmd_verify(args) -> int:
         report = harness.verify_extremal_family(args.n, args.k, tol=args.tol)
     elif target == "ordering-chain":
         spec = FamilySpec(args.n, args.s, _parse_parts(args.parts))
-        report = harness.verify_ordering_chain(spec, args.k, tol=args.tol)
+        report = harness.verify_ordering_chain(spec, args.k)
     elif target == "probe13":
         report = harness.probe_extremal_bound(
             args.n,
@@ -328,7 +309,7 @@ def _cmd_verify(args) -> int:
             exploratory=args.exploratory,
         )
     else:
-        report = harness.corollary_comparison(n_hi=args.n, tol=args.tol)
+        report = harness.corollary_comparison(n_hi=args.n)
 
     if args.json:
         _emit_json("verify", {"target": target}, report.to_dict())

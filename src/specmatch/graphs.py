@@ -239,6 +239,15 @@ def family_partition(spec: FamilySpec) -> list[list[int]]:
     return blocks
 
 
+def canonical_parts(n: int, s: int, q: int | None = None) -> tuple[int, ...]:
+    """Clique orders of the canonical shape of order n with an s-vertex hub
+    and q parts: s singletons, q-s-1 triangles and one clique of the rest.
+    The default q = s+2 gives K_s v (sK_1 u K_3 u K_{n-2s-3}). Callers
+    validate n, s and q."""
+    q = s + 2 if q is None else q
+    return (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,)
+
+
 def extremal_family(n: int, k: int) -> Graph:
     """K_k v (kK_1 u K_3 u K_{n-2k-3}), laid out [hub | kK_1 | K_3 | K_{n-2k-3}].
 
@@ -254,7 +263,7 @@ def extremal_family(n: int, k: int) -> Graph:
         raise ParameterError(f"order must be even, got {n}")
     if n < 2 * k + 6:
         raise ParameterError(f"need n >= 2k+6 = {2 * k + 6}, got {n}")
-    return barrier_family(FamilySpec(n, k, (1,) * k + (3, n - 2 * k - 3)))
+    return barrier_family(FamilySpec(n, k, canonical_parts(n, k)))
 
 
 def extremal_partition(n: int, s: int) -> list[list[int]]:

@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     ParameterError,
     barrier_family,
+    canonical_parts,
     extremal_family,
     is_connected,
     is_k_connected,
@@ -279,51 +280,53 @@ def verify_extremal_family(
 # ordering chain suite
 
 
-def _check_above(check: str, g: Graph, ref, tol: float, est=None, **data) -> dict | None:
-    """mu(g) is strictly above the radius bracketed by `ref`: an exact
-    CertifiedRoot for a threshold graph, otherwise another estimate. The one
-    body behind every strict ordering check that compares two radii."""
-    est = distance_spectral_radius(g, tol) if est is None else est
-    order = compare_estimates(est, ref)
-    if order is Ordering.GREATER:
-        return None
-    detail = f"expected mu strictly above the reference, got {order.value}"
-    return _violation(check, g, detail, **data, tol=tol)
-
-
-def _check_chain_canonical(
-    g: Graph, n: int, s: int, parts: list[int], tol: float, est=None
+def _check_spec_order(
+    check: str, g: Graph | None, n: int, spec, ref, equal=False, reference=None, **data
 ) -> dict | None:
-    """First leg of the ordering chain for g = K_s v (K_{n1} u ... u K_{nq}),
-    against the exact quartic root of the canonical shape
-    K_s v (sK_1 u K_3 u K_{n-2s-3}). If the parts are that shape, the radii
-    must not separate and g must be that shape ("chain-equality"); otherwise
-    mu(g) is strictly above it ("chain-canonical")."""
-    target_parts = (1,) * s + (3, n - 2 * s - 3)
-    root = family_quartic_root(n, s)
-    if tuple(parts) != target_parts:
-        return _check_above("chain-canonical", g, root, tol, est, n=n, s=s, parts=list(parts))
-    est = distance_spectral_radius(g, tol) if est is None else est
-    if compare_estimates(est, root) is Ordering.INDETERMINATE and matches_clique_join(
-        g, s, target_parts
-    ):
+    """The graph of spec = (s, parts), K_s v (K_{n1} u ... u K_{nq}) of order n,
+    lies strictly above the exact root of the reference spec `ref`, or, where
+    `equal` allows it, is `ref` with its root in (lo, hi]. Decided on the
+    spec's quotient by _minor_certificate, with no graph and no eigensolve:
+    the one body behind every ordering of two hub-and-cliques graphs. A bracket
+    `reference` (lo, hi) replaces the root's and is recorded. A witness g must
+    be the spec's graph; g=None builds it only to record a violation."""
+    root = _saturated_root(*ref)
+    lo, hi = map(Fraction, reference or (root.lo, root.hi))
+    above = functools.partial(_minor_certificate, _saturated_quotient(*spec))
+    if g is not None and not matches_clique_join(g, *spec):
+        detail = "witness is not the graph of its spec"
+    elif (above(lo) and not above(hi)) if equal and spec == ref else above(hi):
         return None
-    detail = "equality case not confirmed structurally"
-    return _violation("chain-equality", g, detail, n=n, s=s, parts=list(parts), tol=tol)
+    else:
+        detail = "not certified above the reference root, nor an admitted equality"
+    g = barrier_family(FamilySpec(n, *spec)) if g is None else g
+    if reference is not None:
+        data["reference"] = [str(lo), str(hi)]
+    return _violation(check, g, detail, n=n, **data)
 
 
-def _check_chain_threshold(g: Graph, n: int, s: int, k: int, tol: float, est=None) -> dict | None:
-    """Second leg: the canonical s-hub shape g is strictly above the k-hub
-    threshold graph, whose radius is the exact quartic root."""
-    root = family_quartic_root(n, k)
-    return _check_above("chain-threshold", g, root, tol, est, n=n, s=s, k=k)
+def _check_chain_canonical(g: Graph | None, n: int, s: int, parts: list[int]) -> dict | None:
+    """First leg of the ordering chain: K_s v (K_{n1} u ... u K_{nq}) is strictly
+    above the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}) ("chain-canonical"),
+    or is that shape ("chain-equality")."""
+    spec, canonical = (s, tuple(parts)), (s, canonical_parts(n, s))
+    check = "chain-equality" if spec == canonical else "chain-canonical"
+    return _check_spec_order(check, g, n, spec, canonical, True, s=s, parts=list(parts))
 
 
-def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteReport:
+def _check_chain_threshold(g: Graph | None, n: int, s: int, k: int) -> dict | None:
+    """Second leg: the canonical s-hub shape is strictly above the k-hub
+    threshold graph, the canonical k-hub shape."""
+    spec, ref = (s, canonical_parts(n, s)), (k, canonical_parts(n, k))
+    return _check_spec_order("chain-threshold", g, n, spec, ref, s=s, k=k)
+
+
+def verify_ordering_chain(spec: FamilySpec, k: int) -> SuiteReport:
     """Orders mu along the chain: an arbitrary valid hub-and-cliques graph sits
     strictly above the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}) (equal
     only when it already is that shape), which for s >= k+1 sits strictly
-    above the k-hub threshold graph.
+    above the k-hub threshold graph. Every leg is decided exactly on the
+    specs' quotients; no graph is built unless a leg fails.
     """
     n, s, q = spec.n, spec.s, spec.q
     if k < 1 or s < k:
@@ -339,19 +342,18 @@ def verify_ordering_chain(spec: FamilySpec, k: int, tol: float = 1e-8) -> SuiteR
         raise ParameterError(f"need n >= 2k+6 for the threshold graph, got {n}")
 
     t0 = time.perf_counter()
-    report = SuiteReport(
-        "ordering-chain", {"n": n, "s": s, "parts": list(spec.parts), "k": k, "tol": tol}
-    )
-    g = barrier_family(spec)
-    est = distance_spectral_radius(g, tol)
-    report.extras["equality_case"] = spec.parts == (1,) * s + (3, n - 2 * s - 3)
-    report.extras["mu"] = {"given": est.value, "canonical": family_quartic_root(n, s).value}
-    _record(report, _check_chain_canonical(g, n, s, list(spec.parts), tol, est))
+    report = SuiteReport("ordering-chain", {"n": n, "s": s, "parts": list(spec.parts), "k": k})
+    canonical = canonical_parts(n, s)
+    report.extras["equality_case"] = spec.parts == canonical
+    mu = report.extras["mu"] = {
+        "given": _saturated_root(s, spec.parts).value,
+        "canonical": _saturated_root(s, canonical).value,
+    }
+    _record(report, _check_chain_canonical(None, n, s, list(spec.parts)))
 
     if s >= k + 1:
-        report.extras["mu"]["threshold"] = family_quartic_root(n, k).value
-        # the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}) is extremal_family(n, s)
-        _record(report, _check_chain_threshold(extremal_family(n, s), n, s, k, tol))
+        mu["threshold"] = _saturated_root(k, canonical_parts(n, k)).value
+        _record(report, _check_chain_threshold(None, n, s, k))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -623,17 +625,11 @@ def _check_saturated_order(
 ) -> dict | None:
     """K_s v (K_{n1} u ... u K_{nq}) of order n is strictly above the threshold
     root's bracket `reference` (lo, hi), or is the threshold graph with its
-    root in (lo, hi]. Decided on the quotient; g=None builds g only to record."""
-    root = threshold_reference(n)
-    lo, hi = map(Fraction, reference or (root.lo, root.hi))
+    root in (lo, hi]."""
     spec = (s, tuple(parts))
-    above = functools.partial(_minor_certificate, _saturated_quotient(*spec))
-    if (above(lo) and not above(hi)) if spec == _reference_parts(n) else above(hi):
-        return None
-    g = barrier_family(FamilySpec(n, *spec)) if g is None else g
-    detail = "not certified above the threshold, nor the threshold graph inside it"
-    data = {"n": n, "s": s, "parts": list(parts), "reference": [str(lo), str(hi)]}
-    return _violation("saturated-order", g, detail, **data)
+    return _check_spec_order(
+        "saturated-order", g, n, spec, _reference_parts(n), True, reference, s=s, parts=list(parts)
+    )
 
 
 def _saturated_order_scan(report: SuiteReport, n: int, root: CertifiedRoot) -> None:
@@ -719,7 +715,7 @@ def check_probe_sample(
     est = distance_spectral_radius(g, tol)
     if compare_estimates(est, ref_root) is Ordering.GREATER:
         return None
-    if matches_clique_join(g, k, (1,) * k + (3, n - 2 * k - 3)):
+    if matches_clique_join(g, k, canonical_parts(n, k)):
         return None
     est = distance_spectral_radius(g, 1e-10)
     if compare_estimates(est, ref_root) is Ordering.GREATER:
@@ -806,26 +802,27 @@ def probe_extremal_bound(
 # lemma suites
 
 
-def _check_corollary_order(g: Graph, n: int, tol: float, est_f=None) -> dict | None:
-    """g, the fractional threshold graph of order n, is strictly above the
-    exact root of the plain threshold graph K_1 v (K_{n-3} u 2K_1), which is
-    the Theorem 11 reference for n >= 10."""
-    return _check_above("corollary-order", g, threshold_reference(n), tol, est_f, n=n)
+def _check_corollary_order(g: Graph | None, n: int) -> dict | None:
+    """The fractional threshold graph of order n, the canonical 1-hub shape, is
+    strictly above the exact root of the plain threshold graph
+    K_1 v (K_{n-3} u 2K_1), which is the Theorem 11 reference for n >= 10."""
+    spec = (1, canonical_parts(n, 1))
+    return _check_spec_order("corollary-order", g, n, spec, _reference_parts(n))
 
 
-def corollary_comparison(n_lo: int = 14, n_hi: int = 40, tol: float = 1e-8) -> SuiteReport:
+def corollary_comparison(n_lo: int = 14, n_hi: int = 40) -> SuiteReport:
     """The fractional threshold graph K_1 v (K_1 u K_3 u K_{n-5}) must sit
-    strictly above the plain threshold graph K_1 v (K_{n-3} u 2K_1)."""
+    strictly above the plain threshold graph K_1 v (K_{n-3} u 2K_1), decided
+    exactly on their quotients; each margin is the gap between the exact
+    root brackets."""
     if n_lo < 14 or n_lo % 2 or n_hi % 2 or n_hi < n_lo or n_hi > VERTEX_CAP:
         raise ParameterError(f"need even 14 <= n_lo <= n_hi <= {VERTEX_CAP}, got [{n_lo}, {n_hi}]")
     t0 = time.perf_counter()
-    report = SuiteReport("corollary14", {"n_lo": n_lo, "n_hi": n_hi, "tol": tol})
+    report = SuiteReport("corollary14", {"n_lo": n_lo, "n_hi": n_hi})
     margins = {}
     for n in range(n_lo, n_hi + 1, 2):
-        g_frac = extremal_family(n, 1)
-        est_f = distance_spectral_radius(g_frac, tol)
-        margins[n] = est_f.lo - float(threshold_reference(n).hi)
-        _record(report, _check_corollary_order(g_frac, n, tol, est_f))
+        margins[n] = float(family_quartic_root(n, 1).lo - threshold_reference(n).hi)
+        _record(report, _check_corollary_order(None, n))
     report.extras["margins"] = margins
     report.seconds = time.perf_counter() - t0
     return report
@@ -843,17 +840,20 @@ def _check_edge_monotonicity(
 ) -> dict | None:
     """Adding the missing edge uv strictly lowers the radius."""
     u, v = edge
+    est_g = distance_spectral_radius(g, tol) if est_g is None else est_g
     est_h = distance_spectral_radius(g.add_edge(u, v), tol) if est_h is None else est_h
-    return _check_above("edge-monotonicity", g, est_h, tol, est_g, edge=[u, v])
+    order = compare_estimates(est_g, est_h)
+    if order is Ordering.GREATER:
+        return None
+    detail = f"expected mu strictly above mu(G + uv), got {order.value}"
+    return _violation("edge-monotonicity", g, detail, edge=[u, v], tol=tol)
 
 
-def _check_family_ordering(g: Graph, n: int, s: int, parts: list[int], tol: float) -> dict | None:
-    """g = K_s v (K_{n1} u ... u K_{nq}) is strictly above the same hub joined
-    to s singletons, q-s-1 triangles and one large clique."""
-    q = len(parts)
-    canon = FamilySpec(n, s, (1,) * s + (3,) * (q - s - 1) + (n - 3 * q + s + 3,))
-    est, ref = distance_spectral_radii([g, barrier_family(canon)], tol)
-    return _check_above("family-ordering", g, ref, tol, est, n=n, s=s, parts=list(parts))
+def _check_family_ordering(g: Graph | None, n: int, s: int, parts: list[int]) -> dict | None:
+    """K_s v (K_{n1} u ... u K_{nq}) is strictly above the same hub joined to
+    s singletons, q-s-1 triangles and one large clique."""
+    spec, ref = (s, tuple(parts)), (s, canonical_parts(n, s, len(parts)))
+    return _check_spec_order("family-ordering", g, n, spec, ref, s=s, parts=list(parts))
 
 
 def lemma_suites(
@@ -866,9 +866,10 @@ def lemma_suites(
 
     Edge addition strictly lowers the radius (tolerance 1e-9, indeterminate
     outcomes count as violations); every estimate stays above 2W/n; random
-    valid hub-and-cliques graphs sit strictly above their canonical shape
-    (1e-8); and the two thresholds compare correctly on even orders in
-    `corollary_span`.
+    valid hub-and-cliques graphs sit strictly above their canonical shape;
+    and the two thresholds compare correctly on even orders in
+    `corollary_span`. The last two are decided exactly on quotients, with no
+    eigensolve.
     """
     if min(monotonicity_graphs, ordering_specs) < 0:
         raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
@@ -897,11 +898,9 @@ def lemma_suites(
         edge_checks += len(missing)
     report.extras["edge_checks"] = edge_checks
 
-    ordering_tol = 1e-8
     for _ in range(ordering_specs):
         spec = _random_ordering_spec(rng)
-        g = barrier_family(spec)
-        _record(report, _check_family_ordering(g, spec.n, spec.s, list(spec.parts), ordering_tol))
+        _record(report, _check_family_ordering(None, spec.n, spec.s, list(spec.parts)))
 
     report.cases += corollary.cases
     report.violations.extend(corollary.violations)

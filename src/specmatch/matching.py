@@ -196,7 +196,7 @@ def has_pm_bruteforce(g: Graph) -> bool:
             if nxt not in reachable:
                 reachable.add(nxt)
                 frontier.append(nxt)
-    return full in reachable
+    return False
 
 
 def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:

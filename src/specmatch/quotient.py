@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import ParameterError
+from .graphs import ParameterError, canonical_parts
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**10)
 
@@ -242,7 +242,7 @@ def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) ->
     CertifiedRoot is shared between callers.
     """
     _check_family(n, s)
-    return _saturated_root(s, (1,) * s + (3, n - 2 * s - 3), width)
+    return _saturated_root(s, canonical_parts(n, s), width)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +262,9 @@ def _odd_parts(total: int, count: int, low: int = 1) -> list[tuple[int, ...]]:
 
 def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
     """Distance quotient of K_s v (K_{n1} u ... u K_{nq}) on the hub and one
-    cell per part order m, holding all c_m parts of that order."""
-    cells = [(m, len(list(same))) for m, same in itertools.groupby(parts)]
+    cell per part order m, holding all c_m parts of that order; the parts
+    may come in any order."""
+    cells = [(m, len(list(same))) for m, same in itertools.groupby(sorted(parts))]
     rows = [[s - 1] + [c * m for m, c in cells]]
     for m, c in cells:
         rows.append([s] + [m - 1 + 2 * (c - 1) * m if m2 == m else 2 * c2 * m2 for m2, c2 in cells])
@@ -275,6 +276,8 @@ def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) ->
     """Distance spectral radius of K_s v (K_{n1} u ... u K_{nq}), isolated
     over [2W/n, max transmission] once per process and width. A row sum of
     the quotient is each cell's transmission, and 2W/n is their mean."""
+    if s < 1 or min(parts) < 1:
+        raise ParameterError(f"need hub size s >= 1 and parts >= 1, got s={s}, parts={parts}")
     rows = _saturated_quotient(s, parts)
     sizes = [s] + rows[0][1:]  # the hub is at distance 1 from every other cell
     sums = [sum(row) for row in rows]

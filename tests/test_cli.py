@@ -358,12 +358,12 @@ def test_verify_corollary14(capsys):
     assert code == 2 and "n_lo <= n_hi <= 64" in err and out == ""
 
 
-def test_verify_corollary14_passes_tolerance(capsys):
-    code, payload, _ = run_json(
-        capsys, "verify", "corollary14", "--n", "16", "--tol", "1e-9", "--json"
-    )
-    assert code == 0
-    assert payload["result"]["params"]["tol"] == 1e-9
+def test_verify_corollary14_rejects_tolerance(capsys):
+    # the comparison is exact: no tolerance reaches it
+    code, out, err = run(capsys, "verify", "corollary14", "--n", "16", "--tol", "1e-9", "--json")
+    assert code == 2 and out == "" and "does not take --tol" in err
+    code, payload, _ = run_json(capsys, "verify", "corollary14", "--n", "16", "--json")
+    assert code == 0 and "tol" not in payload["result"]["params"]
 
 
 def test_verify_theorem11_reduction_rejects_chunks(capsys):
@@ -406,6 +406,9 @@ def test_verify_rejects_options_the_target_does_not_read(capsys):
         (("theorem11", "--n", "10", "--exploratory"), ("--exploratory",)),
         (("lemmas", "--tol", "0.5"), ("--tol",)),
         (("corollary14", "--chunk", "0/2"), ("--chunk",)),
+        (("corollary14", "--tol", "1e-9"), ("--tol",)),
+        (("ordering-chain", "--n", "22", "--s", "2", "--parts", "1,1,3,15", "--k", "1",
+          "--tol", "1e-9"), ("--tol",)),
     )
     for argv, flags in cases:
         code, out, err = run(capsys, "verify", *argv)

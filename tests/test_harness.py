@@ -183,8 +183,8 @@ def test_ordering_chain_strict_cases():
 
 
 def test_threshold_graphs_are_read_off_their_exact_roots(monkeypatch):
-    # the canonical shape and both threshold graphs are compared through their
-    # quartic or quotient roots; only the graphs under test are eigensolved
+    # every graph of the chain and of the corollary is a saturated spec, ordered
+    # on its quotient against the other's exact root: nothing is eigensolved
     import specmatch.harness as harness
 
     calls = []
@@ -193,10 +193,27 @@ def test_threshold_graphs_are_read_off_their_exact_roots(monkeypatch):
         harness, "distance_spectral_radius", lambda *a, **kw: calls.append(a) or solve(*a, **kw)
     )
     assert verify_ordering_chain(FamilySpec(22, 2, (1, 1, 3, 15)), k=1).passed
-    assert len(calls) == 2
-    calls.clear()
+    assert len(calls) == 0
     assert corollary_comparison(14, 40).passed
-    assert len(calls) == 14
+    assert len(calls) == 0
+
+
+def test_spec_orderings_run_with_no_eigensolver(monkeypatch):
+    import specmatch.harness as harness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a hub-and-cliques graph was eigensolved")
+
+    monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
+    monkeypatch.setattr(harness, "distance_spectral_radii", no_solve)
+    for spec, k in (
+        (FamilySpec(18, 2, (3, 3, 3, 7)), 2),
+        (FamilySpec(22, 2, (1, 1, 3, 15)), 1),
+        (FamilySpec(22, 2, (1, 3, 3, 13)), 1),
+    ):
+        assert verify_ordering_chain(spec, k=k).passed
+    assert corollary_comparison(14, 64).passed
+    assert lemma_suites(0, monotonicity_graphs=0, ordering_specs=50).passed
 
 
 def test_ordering_chain_validation():
@@ -700,6 +717,10 @@ def test_replay_rejects_malformed_records():
         replay_violation({"check": "unheard-of", "witness": "Cs", "data": {}})
     with pytest.raises(ParameterError):
         replay_violation({"check": "probe-order", "witness": None, "data": {}})
+    # 5 singletons and a 5-clique leave the 6-part canonical shape a clique of -3
+    data = {"n": 11, "s": 1, "parts": [1, 1, 1, 1, 1, 5]}
+    with pytest.raises(ParameterError):
+        replay_violation({"check": "family-ordering", "witness": "Cs", "data": data})
 
 
 def test_replayers_return_false_on_healthy_witnesses():
@@ -754,20 +775,20 @@ HEALTHY = {
     "quartic-agreement": (_FRAC14, {"k": 1, "tol": 1e-8}),
     "wiener-closed-form": (_FRAC14, {"k": 1}),
     "radius-floor": (_FRAC14, {"k": 1}),
-    "chain-equality": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 3, 9], "tol": 1e-8}),
-    "chain-canonical": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+    "chain-equality": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 3, 9]}),
+    "chain-canonical": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "chain-threshold": (
         barrier_family(FamilySpec(22, 2, (1, 1, 3, 15))),
-        {"n": 22, "s": 2, "k": 1, "tol": 1e-8},
+        {"n": 22, "s": 2, "k": 1},
     ),
     # K_6 has a perfect matching, so it lies outside the theorem's hypotheses
     "threshold-order": (complete_graph(6), {"n": 6, "tol": 1e-9}),
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "probe-order": (_FRAC14, {"n": 14, "k": 1, "tol": 1e-8}),
-    "corollary-order": (_FRAC14, {"n": 14, "tol": 1e-8}),
+    "corollary-order": (_FRAC14, {"n": 14}),
     "wiener-bound": (complete_graph(5), {"tol": 1e-9}),
     "edge-monotonicity": (_P4, {"edge": [0, 2], "tol": 1e-9}),
-    "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+    "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
 # check -> (witness, data) that fails: a wrong witness, or a degenerate record
@@ -781,18 +802,18 @@ FAILING = {
     "wiener-closed-form": (complete_graph(14), {"k": 1}),
     "radius-floor": (complete_graph(14), {"k": 1}),
     # the equality case claimed for a graph that is not the canonical shape
-    "chain-equality": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 3, 9], "tol": 1e-8}),
-    "chain-canonical": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
-    "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1, "tol": 1e-8}),
+    "chain-equality": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 3, 9]}),
+    "chain-canonical": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
+    "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1}),
     # the order-4 threshold graph held against the order-6 threshold
     "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6, "tol": 1e-9}),
     # a reference bracket far above the graph's radius
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "reference": ["99", "99"]}),
     "probe-order": (complete_graph(14), {"n": 14, "k": 1, "tol": 1e-8}),
-    "corollary-order": (_PLAIN14, {"n": 14, "tol": 1e-8}),
+    "corollary-order": (_PLAIN14, {"n": 14}),
     # the edge is already present, so "adding" it leaves the graph unchanged
     "edge-monotonicity": (_P4, {"edge": [0, 1], "tol": 1e-9}),
-    "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7], "tol": 1e-8}),
+    "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
 CANNOT_FAIL = {
@@ -818,6 +839,25 @@ def test_check_table_replays(check):
     g, data = FAILING[check]
     violation = CHECKS[check](g, **data)
     assert violation["check"] == check
+    assert parse_graph6(violation["witness"]) == g
+    assert replay_violation(violation) is True
+
+
+# records of the exact spec orderings that fail on the spec alone: a spec equal
+# to a reference that admits no equality, or a witness that is not the graph
+# of its spec
+SPEC_FAILING = {
+    "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 3, 9]}, "not certified"),
+    "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 1, "k": 1}, "not certified"),
+    "saturated-order": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}, "witness is not"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SPEC_FAILING))
+def test_spec_orderings_fail_equal_specs_and_foreign_witnesses(check):
+    g, data, reason = SPEC_FAILING[check]
+    violation = CHECKS[check](g, **data)
+    assert violation["check"] == check and reason in violation["detail"]
     assert parse_graph6(violation["witness"]) == g
     assert replay_violation(violation) is True
 

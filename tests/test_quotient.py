@@ -291,6 +291,14 @@ def test_family_quartic_root_is_the_saturated_root():
             family_quartic_root(n, s)
 
 
+def test_saturated_spec_takes_parts_in_any_order_and_rejects_empty_cells():
+    # a replayed record may list its parts in any order: the quotient is the multiset's
+    assert _saturated_quotient(1, (3, 1, 5, 1, 3)) == _saturated_quotient(1, (1, 1, 3, 3, 5))
+    for s, parts in ((1, (1, 3, -3)), (1, (0, 3, 5)), (0, (1, 3, 5))):
+        with pytest.raises(ParameterError, match="s >= 1 and parts >= 1"):
+            _saturated_root(s, parts)
+
+
 def test_hub_gap_factorization_exact():
     rng = random.Random(17)
     for _ in range(50):
