@@ -65,8 +65,9 @@ from .quotient import (
 )
 from .spectra import (
     Ordering,
+    _distance_matrices,
+    _stacked_radii,
     compare_estimates,
-    distance_spectral_radii,
     distance_spectral_radius,
     wiener_index,
 )
@@ -835,18 +836,18 @@ def _check_wiener_bound(g: Graph, tol: float, est=None) -> dict | None:
     return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n, tol=tol)
 
 
-def _check_edge_monotonicity(
-    g: Graph, edge: list[int], tol: float, est_g=None, est_h=None
-) -> dict | None:
-    """Adding the missing edge uv strictly lowers the radius."""
+def _check_edge_monotonicity(g: Graph, edge: list[int], dist_g=None, dist_h=None) -> dict | None:
+    """Adding the missing edge uv strictly lowers the radius: D(G + uv) <= D(G)
+    entrywise with some entry lower (no path lengthens, d(u, v) drops to 1),
+    and D(G) is irreducible for G connected, n >= 2, so rho drops strictly by
+    Perron-Frobenius (Berman & Plemmons, 1994, ch. 2, Wielandt's theorem)."""
     u, v = edge
-    est_g = distance_spectral_radius(g, tol) if est_g is None else est_g
-    est_h = distance_spectral_radius(g.add_edge(u, v), tol) if est_h is None else est_h
-    order = compare_estimates(est_g, est_h)
-    if order is Ordering.GREATER:
+    if dist_g is None or dist_h is None:
+        dist_g, dist_h = _distance_matrices([g, g.add_edge(u, v)])
+    if (dist_h <= dist_g).all() and (dist_h < dist_g).any():
         return None
-    detail = f"expected mu strictly above mu(G + uv), got {order.value}"
-    return _violation("edge-monotonicity", g, detail, edge=[u, v], tol=tol)
+    detail = "D(G + uv) is not entrywise at most D(G) with some entry lower"
+    return _violation("edge-monotonicity", g, detail, edge=[u, v])
 
 
 def _check_family_ordering(g: Graph | None, n: int, s: int, parts: list[int]) -> dict | None:
@@ -864,12 +865,11 @@ def lemma_suites(
 ) -> SuiteReport:
     """Randomized checks of the supporting inequalities.
 
-    Edge addition strictly lowers the radius (tolerance 1e-9, indeterminate
-    outcomes count as violations); every estimate stays above 2W/n; random
-    valid hub-and-cliques graphs sit strictly above their canonical shape;
-    and the two thresholds compare correctly on even orders in
-    `corollary_span`. The last two are decided exactly on quotients, with no
-    eigensolve.
+    Edge addition strictly lowers the radius, decided exactly on the D(G)
+    and D(G + uv) of one stacked BFS; G's estimate, its one eigensolve, stays
+    above 2W/n; random valid hub-and-cliques graphs sit strictly above their
+    canonical shape; and the two thresholds compare correctly on even orders
+    in `corollary_span`, these two exactly on quotients, with no eigensolve.
     """
     if min(monotonicity_graphs, ordering_specs) < 0:
         raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
@@ -885,16 +885,16 @@ def lemma_suites(
         },
     )
     corollary = corollary_comparison(*corollary_span)  # checks the span before any other solve
-    mono_tol = 1e-9
+    tol = 1e-9
     edge_checks = 0
     for _ in range(monotonicity_graphs):
         n = rng.randrange(5, 15)  # orders 5..14
         g = random_connected_graph(rng, n)
         missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
-        est_g, *added = distance_spectral_radii([g] + [g.add_edge(*uv) for uv in missing], mono_tol)
-        _record(report, _check_wiener_bound(g, mono_tol, est_g))
-        for edge, est_h in zip(missing, added):
-            _record(report, _check_edge_monotonicity(g, edge, mono_tol, est_g, est_h))
+        dists = _distance_matrices([g] + [g.add_edge(*uv) for uv in missing])
+        _record(report, _check_wiener_bound(g, tol, _stacked_radii(dists[:1], tol)[0]))
+        for edge, dist_h in zip(missing, dists[1:]):
+            _record(report, _check_edge_monotonicity(g, edge, dists[0], dist_h))
         edge_checks += len(missing)
     report.extras["edge_checks"] = edge_checks
 

@@ -271,11 +271,16 @@ def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
-@functools.cache
 def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
     """Distance spectral radius of K_s v (K_{n1} u ... u K_{nq}), isolated
-    over [2W/n, max transmission] once per process and width. A row sum of
-    the quotient is each cell's transmission, and 2W/n is their mean."""
+    over [2W/n, max transmission] once per process, multiset of parts and
+    width, however a call spells them. A row sum of the quotient is each
+    cell's transmission, and 2W/n is their mean."""
+    return _isolate_saturated_root(s, tuple(sorted(parts)), width)
+
+
+@functools.cache
+def _isolate_saturated_root(s: int, parts: tuple[int, ...], width) -> CertifiedRoot:
     if s < 1 or min(parts) < 1:
         raise ParameterError(f"need hub size s >= 1 and parts >= 1, got s={s}, parts={parts}")
     rows = _saturated_quotient(s, parts)

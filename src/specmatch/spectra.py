@@ -114,14 +114,19 @@ def distance_spectral_radii(
         raise ParameterError(f"distance spectral radius needs order n >= 2, got order {n}")
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
-    dist = _distance_matrices(graphs)
+    return _stacked_radii(_distance_matrices(graphs), tol)
+
+
+def _stacked_radii(dist: np.ndarray, tol: float) -> list[SpectralEstimate]:
+    """distance_spectral_radii on a (m, n, n) stack from _distance_matrices, n >= 2."""
+    n = dist.shape[1]
     row_sums = dist.sum(axis=2, keepdims=True)
     # (m, 1, 1) brackets; IEEE division of exact ints gives float(Fraction(2W, n))
     lo = row_sums.sum(axis=1, keepdims=True) / n
     hi = row_sums.max(axis=1, keepdims=True)
     x = np.abs(np.linalg.eigh(dist)[1][..., -1:])
-    estimates: list[SpectralEstimate] = [None] * len(graphs)
-    live = range(len(graphs))  # the graphs still stepping, whose rows dist, x, lo, hi hold
+    estimates: list[SpectralEstimate] = [None] * len(dist)
+    live = range(len(dist))  # the graphs still stepping, whose rows dist, x, lo, hi hold
     for steps in range(1, MAX_ITERATIONS + 1):
         y = dist @ x
         ratios = y / x

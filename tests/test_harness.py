@@ -21,6 +21,7 @@ from specmatch import (
     complete_graph,
     corollary_comparison,
     distance_matrix,
+    distance_spectral_radii,
     distance_spectral_radius,
     disjoint_union,
     empty_graph,
@@ -205,7 +206,7 @@ def test_spec_orderings_run_with_no_eigensolver(monkeypatch):
         raise AssertionError("a hub-and-cliques graph was eigensolved")
 
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
-    monkeypatch.setattr(harness, "distance_spectral_radii", no_solve)
+    monkeypatch.setattr(harness, "_stacked_radii", no_solve)
     for spec, k in (
         (FamilySpec(18, 2, (3, 3, 3, 7)), 2),
         (FamilySpec(22, 2, (1, 1, 3, 15)), 1),
@@ -787,7 +788,7 @@ HEALTHY = {
     "probe-order": (_FRAC14, {"n": 14, "k": 1, "tol": 1e-8}),
     "corollary-order": (_FRAC14, {"n": 14}),
     "wiener-bound": (complete_graph(5), {"tol": 1e-9}),
-    "edge-monotonicity": (_P4, {"edge": [0, 2], "tol": 1e-9}),
+    "edge-monotonicity": (_P4, {"edge": [0, 2]}),
     "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
@@ -812,7 +813,7 @@ FAILING = {
     "probe-order": (complete_graph(14), {"n": 14, "k": 1, "tol": 1e-8}),
     "corollary-order": (_PLAIN14, {"n": 14}),
     # the edge is already present, so "adding" it leaves the graph unchanged
-    "edge-monotonicity": (_P4, {"edge": [0, 1], "tol": 1e-9}),
+    "edge-monotonicity": (_P4, {"edge": [0, 1]}),
     "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
@@ -918,6 +919,55 @@ def test_lemma_suites_small_run():
     assert all(m > 0 for m in margins.values())
 
 
+def test_edge_monotonicity_replays_records_that_carry_tol():
+    # records written while the check compared float brackets carry "tol";
+    # the exact predicate takes no tolerance and replay drops the key
+    witness = write_graph6(_P4)
+    for edge, fails in (([0, 2], False), ([1, 3], False), ([0, 1], True)):
+        record = {"check": "edge-monotonicity", "witness": witness, "detail": "",
+                  "data": {"edge": edge, "tol": 1e-9}}
+        assert replay_violation(record) is fails
+    assert set(CHECKS["edge-monotonicity"](_P4, [0, 1])["data"]) == {"edge"}
+
+
+def test_edge_monotonicity_agrees_with_the_eigensolver():
+    # the exact distance-dominance certificate against the stacked float
+    # solves it replaced: every missing edge passes both ways
+    rng = random.Random(20)
+    pairs = 0
+    for _ in range(100):
+        n = rng.randrange(5, 15)
+        g = random_connected_graph(rng, n)
+        missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
+        est_g, *added = distance_spectral_radii([g] + [g.add_edge(*uv) for uv in missing], 1e-9)
+        for edge, est_h in zip(missing, added):
+            assert harness._check_edge_monotonicity(g, edge) is None
+            assert compare_estimates(est_g, est_h) is Ordering.GREATER, (write_graph6(g), edge)
+        pairs += len(missing)
+    assert pairs > 1000
+
+
+def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
+    calls = {"_distance_matrices": [], "_stacked_radii": []}
+    for name, log in calls.items():
+        def counted(stack, *args, _fn=getattr(harness, name), _log=log):
+            _log.append(len(stack))
+            return _fn(stack, *args)
+
+        monkeypatch.setattr(harness, name, counted)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a lemma graph was solved outside its stack")
+
+    monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
+    report = lemma_suites(3, monotonicity_graphs=7, ordering_specs=2, corollary_span=(14, 16))
+    assert report.passed
+    # one stack of G and every G + uv, and one eigensolve, of G alone, per graph
+    assert sum(calls["_distance_matrices"]) == 7 + report.extras["edge_checks"]
+    assert calls["_stacked_radii"] == [1] * 7
+    assert len(calls["_distance_matrices"]) == 7
+
+
 def test_lemma_suites_deterministic():
     kwargs = dict(
         seed=9,
@@ -948,7 +998,7 @@ def test_corollary_span_is_rejected_before_any_eigensolve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the corollary span was checked")
 
-    monkeypatch.setattr(harness, "distance_spectral_radii", no_solve)
+    monkeypatch.setattr(harness, "_stacked_radii", no_solve)
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
     for span in ((14, 66), (13, 40), (20, 14), (14, 41)):
         with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):

@@ -291,6 +291,20 @@ def test_family_quartic_root_is_the_saturated_root():
             family_quartic_root(n, s)
 
 
+def test_saturated_root_isolates_each_spec_once_however_called():
+    # family_quartic_root passes the width by position, other callers leave
+    # it out or list the parts in another order: one cache entry serves all
+    import specmatch.quotient as quotient
+
+    quotient._isolate_saturated_root.cache_clear()
+    root = family_quartic_root(14, 1)
+    assert _saturated_root(1, (1, 3, 9)) is root
+    info = quotient._isolate_saturated_root.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert _saturated_root(1, (9, 1, 3), DEFAULT_ROOT_WIDTH) is root
+    assert quotient._isolate_saturated_root.cache_info().misses == 1
+
+
 def test_saturated_spec_takes_parts_in_any_order_and_rejects_empty_cells():
     # a replayed record may list its parts in any order: the quotient is the multiset's
     assert _saturated_quotient(1, (3, 1, 5, 1, 3)) == _saturated_quotient(1, (1, 1, 3, 3, 5))
