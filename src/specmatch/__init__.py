@@ -53,11 +53,8 @@ from .matching import (
 from .spectra import (
     ConvergenceError,
     DisconnectedError,
-    Ordering,
     SpectralEstimate,
-    compare_estimates,
     distance_matrix,
-    distance_spectral_radii,
     distance_spectral_radius,
     wiener_index,
 )

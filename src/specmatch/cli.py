@@ -270,9 +270,9 @@ def _cmd_quotient(args) -> int:
 _VERIFY_OPTIONS = {
     "lemmas": {"seed": 0},
     "theorem11": {"n": None, "chunk": "0/1", "threads": 1},
-    "theorem13-family": {"n": None, "k": None, "tol": 1e-8},
+    "theorem13-family": {"n": None, "k": None},
     "ordering-chain": {"n": None, "s": None, "parts": None, "k": None},
-    "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "tol": 1e-8, "exploratory": False},
+    "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "exploratory": False},
     "corollary14": {"n": 40},
 }
 
@@ -295,18 +295,13 @@ def _cmd_verify(args) -> int:
             args.n, chunk=_parse_chunk(args.chunk), threads=args.threads, progress=progress
         )
     elif target == "theorem13-family":
-        report = harness.verify_extremal_family(args.n, args.k, tol=args.tol)
+        report = harness.verify_extremal_family(args.n, args.k)
     elif target == "ordering-chain":
         spec = FamilySpec(args.n, args.s, _parse_parts(args.parts))
         report = harness.verify_ordering_chain(spec, args.k)
     elif target == "probe13":
         report = harness.probe_extremal_bound(
-            args.n,
-            args.k,
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-            exploratory=args.exploratory,
+            args.n, args.k, trials=args.trials, seed=args.seed, exploratory=args.exploratory
         )
     else:
         report = harness.corollary_comparison(n_hi=args.n)
@@ -411,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--parts")
-    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--threads", type=int)

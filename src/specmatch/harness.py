@@ -5,11 +5,13 @@ when every checked instance satisfied its predicate. Every check that has a
 witness graph is decided by one predicate, registered in CHECKS under the
 check's name: it returns a violation record (the witness in graph6 form plus
 the parameters of the check) or None. The suites call the predicates, and
-replay_violation calls the same predicate on a recorded witness. Every strict
-ordering of a radius estimate against a reference is decided by
-compare_estimates; when the reference is a threshold graph, it is the graph's
-exact root. The saturated-graph reduction decides on exact leading minors of
-the graph-free quotients in quotient.py.
+replay_violation calls the same predicate on a recorded witness. A float
+radius estimate is held strictly above a threshold graph's exact root only
+when its bracket clears the root's: est.lo > root.hi compares a float with a
+Fraction exactly. Edge monotonicity is decided by exact distance dominance,
+and every ordering of two hub-and-cliques graphs, the saturated-graph
+reduction included, on exact leading minors of the graph-free quotients in
+quotient.py.
 """
 
 from __future__ import annotations
@@ -63,16 +65,8 @@ from .quotient import (
     gap_bound_floor_deriv,
     hub_gap_coefficient,
 )
-from .spectra import (
-    Ordering,
-    _distance_matrices,
-    _stacked_radii,
-    compare_estimates,
-    distance_spectral_radius,
-    wiener_index,
-)
+from .spectra import _distance_matrices, _radius, distance_spectral_radius, wiener_index
 
-_SCAN_TOL = 1e-9
 _BLOCK_BITS = 18
 # stages of the threshold-order chain after the scan's table prefilter
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
@@ -205,13 +199,13 @@ def _check_exhaustive_oracles(g: Graph, deficiency=None) -> dict | None:
     return _violation("exhaustive-oracles", g, "subset oracles disagree", n=g.n)
 
 
-def _check_quartic_agreement(g: Graph, k: int, tol: float, est=None, root=None) -> dict | None:
-    est = distance_spectral_radius(g, tol) if est is None else est
+def _check_quartic_agreement(g: Graph, k: int, est=None, root=None) -> dict | None:
+    est = distance_spectral_radius(g) if est is None else est
     root = family_quartic_root(g.n, k) if root is None else root
     if abs(est.value - root.value) <= 1e-6:
         return None
     detail = f"power iteration {est.value!r} vs quartic root {root.value!r}"
-    return _violation("quartic-agreement", g, detail, n=g.n, k=k, tol=tol)
+    return _violation("quartic-agreement", g, detail, n=g.n, k=k)
 
 
 def _check_wiener_closed_form(g: Graph, k: int, wiener=None) -> dict | None:
@@ -235,9 +229,7 @@ def _check_radius_floor(g: Graph, k: int, wiener=None, root=None) -> dict | None
     return _violation("radius-floor", g, f"radius not certified above {floor}", n=n, k=k)
 
 
-def verify_extremal_family(
-    n: int, k: int, tol: float = 1e-8, include_exhaustive_oracles: bool = False
-) -> SuiteReport:
+def verify_extremal_family(n: int, k: int, include_exhaustive_oracles: bool = False) -> SuiteReport:
     """Checks the claimed properties of K_k v (kK_1 u K_3 u K_{n-2k-3}):
     exact connectivity k, a fractional perfect matching, no perfect matching
     with the hub as Tutte certificate (k+2 odd components), radius agreeing
@@ -246,7 +238,7 @@ def verify_extremal_family(
     if k < 1 or n % 2 or n < 8 * k + 6:
         raise ParameterError(f"need k >= 1 and even n >= 8k+6, got n={n}, k={k}")
     t0 = time.perf_counter()
-    report = SuiteReport("theorem13-family", {"n": n, "k": k, "tol": tol})
+    report = SuiteReport("theorem13-family", {"n": n, "k": k})
     g = extremal_family(n, k)
 
     _record(report, _check_exact_connectivity(g, k))
@@ -264,11 +256,11 @@ def verify_extremal_family(
         _record(report, _check_exhaustive_oracles(g, deficiency))
         report.extras["exhaustive_deficiency"] = deficiency
 
-    est = distance_spectral_radius(g, tol)
+    est = distance_spectral_radius(g)
     root = family_quartic_root(n, k)
     report.extras["mu_estimate"] = [est.value, est.lo, est.hi]
     report.extras["quartic_root"] = [root.value, float(root.lo), float(root.hi)]
-    _record(report, _check_quartic_agreement(g, k, tol, est, root))
+    _record(report, _check_quartic_agreement(g, k, est, root))
 
     _record(report, _check_wiener_closed_form(g, k, est.wiener))
     _record(report, _check_radius_floor(g, k, est.wiener, root))
@@ -375,9 +367,7 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_rows(rows)
 
 
-def _check_threshold_order(
-    g: Graph, n: int, tol: float = _SCAN_TOL, ref=None, counts=None, admitted=False
-) -> dict | None:
+def _check_threshold_order(g: Graph, n: int, ref=None, counts=None, admitted=False) -> dict | None:
     """Theorem 11 for one graph: if g is connected without a perfect matching
     (taken as given when `admitted`), its radius is strictly above the
     threshold graph's exact root `ref`, or g is the threshold graph. The
@@ -390,16 +380,16 @@ def _check_threshold_order(
     if matches_clique_join(g, *_reference_parts(n)):
         counts["extremal_matches"] += 1
         return None
-    est = distance_spectral_radius(g, tol)
+    est = distance_spectral_radius(g)
     if Fraction(2 * est.wiener, n) > ref.hi:
         counts["wiener_exact_pruned"] += 1
         return None
     counts["eigensolves"] += 1
-    if compare_estimates(est, ref) is Ordering.GREATER:
+    if est.lo > ref.hi:
         counts["strictly_greater"] += 1
         return None
     detail = "no perfect matching yet radius not above the threshold"
-    data = {"estimate": [est.lo, est.hi], "reference_hi": float(ref.hi), "tol": tol}
+    data = {"estimate": [est.lo, est.hi], "reference_hi": float(ref.hi)}
     return _violation("threshold-order", g, detail, n=n, **data)
 
 
@@ -599,12 +589,12 @@ def pm_threshold_scan(
         _saturated_order_scan(report, n, ref_root)
     else:
         start, stop = _chunk_range(1 << (n * (n - 1) // 2), chunk)
-        if threads > 1:
+        edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
+        args = [(n, a, b, ref_root, m_max) for a, b in zip(edges, edges[1:]) if a < b]
+        if len(args) > 1:
             import multiprocessing as mp
 
             _scan_tables(n)  # built once here, inherited by the forked workers
-            edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
-            args = [(n, a, b, ref_root, m_max) for a, b in zip(edges, edges[1:]) if a < b]
             workers = min(len(args), len(os.sched_getaffinity(0)))
             with mp.get_context("fork").Pool(workers) as pool:
                 results = pool.starmap(_scan_range, args)
@@ -707,19 +697,14 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, in
 
 
 def check_probe_sample(
-    g: Graph, n: int, k: int, ref_root: CertifiedRoot | None = None, tol: float = 1e-8
+    g: Graph, n: int, k: int, ref_root: CertifiedRoot | None = None
 ) -> dict | None:
     """Predicate behind the probe suite (check "probe-order"): a valid sample
     must have radius strictly above the threshold root, unless it is the
     threshold graph itself. Returns a violation record or None."""
     ref_root = family_quartic_root(n, k) if ref_root is None else ref_root
-    est = distance_spectral_radius(g, tol)
-    if compare_estimates(est, ref_root) is Ordering.GREATER:
-        return None
-    if matches_clique_join(g, k, canonical_parts(n, k)):
-        return None
-    est = distance_spectral_radius(g, 1e-10)
-    if compare_estimates(est, ref_root) is Ordering.GREATER:
+    est = distance_spectral_radius(g)
+    if est.lo > ref_root.hi or matches_clique_join(g, k, canonical_parts(n, k)):
         return None
     return _violation(
         "probe-order",
@@ -729,7 +714,6 @@ def check_probe_sample(
         k=k,
         estimate=[est.lo, est.hi],
         reference_hi=float(ref_root.hi),
-        tol=tol,
     )
 
 
@@ -738,7 +722,6 @@ def probe_extremal_bound(
     k: int,
     trials: int,
     seed: int = 0,
-    tol: float = 1e-8,
     exploratory: bool = False,
 ) -> SuiteReport:
     """Sample k-connected even-order graphs with a fractional but no perfect
@@ -761,9 +744,7 @@ def probe_extremal_bound(
         raise ParameterError(f"need trials >= 1, got {trials}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    report = SuiteReport(
-        "probe13", {"n": n, "k": k, "trials": trials, "seed": seed, "tol": tol}
-    )
+    report = SuiteReport("probe13", {"n": n, "k": k, "trials": trials, "seed": seed})
     if exploratory:
         report.extras["exploratory"] = True
     ref_root = family_quartic_root(n, k)
@@ -792,7 +773,7 @@ def probe_extremal_bound(
         if not has_fractional_pm(g):
             rejected["fractional"] += 1
             continue
-        _record(report, check_probe_sample(g, n, k, ref_root, tol))
+        _record(report, check_probe_sample(g, n, k, ref_root))
     report.extras["attempts"] = attempts
     report.extras["rejected"] = rejected
     report.seconds = time.perf_counter() - t0
@@ -829,11 +810,11 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40) -> SuiteReport:
     return report
 
 
-def _check_wiener_bound(g: Graph, tol: float, est=None) -> dict | None:
-    est = distance_spectral_radius(g, tol) if est is None else est
-    if est.value >= 2 * est.wiener / g.n - tol:  # 2W/n correctly rounded
+def _check_wiener_bound(g: Graph, est=None) -> dict | None:
+    est = distance_spectral_radius(g) if est is None else est
+    if est.value >= 2 * est.wiener / g.n:  # 2W/n correctly rounded
         return None
-    return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n, tol=tol)
+    return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n)
 
 
 def _check_edge_monotonicity(g: Graph, edge: list[int], dist_g=None, dist_h=None) -> dict | None:
@@ -885,14 +866,13 @@ def lemma_suites(
         },
     )
     corollary = corollary_comparison(*corollary_span)  # checks the span before any other solve
-    tol = 1e-9
     edge_checks = 0
     for _ in range(monotonicity_graphs):
         n = rng.randrange(5, 15)  # orders 5..14
         g = random_connected_graph(rng, n)
         missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
         dists = _distance_matrices([g] + [g.add_edge(*uv) for uv in missing])
-        _record(report, _check_wiener_bound(g, tol, _stacked_radii(dists[:1], tol)[0]))
+        _record(report, _check_wiener_bound(g, _radius(dists[0])))
         for edge, dist_h in zip(missing, dists[1:]):
             _record(report, _check_edge_monotonicity(g, edge, dists[0], dist_h))
         edge_checks += len(missing)

@@ -358,14 +358,6 @@ def test_verify_corollary14(capsys):
     assert code == 2 and "n_lo <= n_hi <= 64" in err and out == ""
 
 
-def test_verify_corollary14_rejects_tolerance(capsys):
-    # the comparison is exact: no tolerance reaches it
-    code, out, err = run(capsys, "verify", "corollary14", "--n", "16", "--tol", "1e-9", "--json")
-    assert code == 2 and out == "" and "does not take --tol" in err
-    code, payload, _ = run_json(capsys, "verify", "corollary14", "--n", "16", "--json")
-    assert code == 0 and "tol" not in payload["result"]["params"]
-
-
 def test_verify_theorem11_reduction_rejects_chunks(capsys):
     for argv in (("--n", "10", "--chunk", "1/4"), ("--n", "10", "--threads", "2")):
         code, out, err = run(capsys, "verify", "theorem11", *argv)
@@ -378,11 +370,27 @@ def test_verify_theorem11_reduction_rejects_chunks(capsys):
 
 
 def test_verify_theorem11_has_no_variant_option(capsys):
-    for value in ("small", "large"):
+    # nor does any verify target take a tolerance: each solves at the default
+    cases = [("theorem11", "--n", "10", "--variant", value) for value in ("small", "large")]
+    cases += [
+        (*argv, "--tol", "1e-9")
+        for argv in (
+            ("corollary14", "--n", "16", "--json"),
+            ("lemmas",),
+            ("theorem11", "--n", "10"),
+            ("theorem13-family", "--n", "14", "--k", "1"),
+            ("probe13", "--n", "14", "--k", "1", "--trials", "5"),
+            ("ordering-chain", "--n", "22", "--s", "2", "--parts", "1,1,3,15", "--k", "1"),
+        )
+    ]
+    for argv in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "theorem11", "--n", "10", "--variant", value])
+            main(["verify", *argv])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --variant" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {argv[-2]}" in err
+    code, payload, _ = run_json(capsys, "verify", "corollary14", "--n", "16", "--json")
+    assert code == 0 and "tol" not in payload["result"]["params"]
 
 
 def test_verify_theorem11_n64(capsys):
@@ -393,6 +401,17 @@ def test_verify_theorem11_n64(capsys):
     assert result["extras"]["certified_above"] == result["cases"] - 1
 
 
+def test_verify_theorem11_threads_on_an_empty_chunk(capsys):
+    # 64 masks at n = 4 leave chunk 0/100 empty: no worker pool is started
+    argv = ("verify", "theorem11", "--n", "4", "--chunk", "0/100", "--json")
+    code, single, _ = run_json(capsys, *argv)
+    code2, threaded, err = run_json(capsys, *argv, "--threads", "2")
+    assert code == code2 == 0 and "Traceback" not in err
+    for payload in (single, threaded):
+        payload["result"].pop("seconds")
+    assert threaded == single and single["result"]["extras"]["masks_scanned"] == 0
+
+
 def test_verify_theorem11_rejects_thread_counts_below_one(capsys):
     for threads in ("0", "-2"):
         code, out, err = run(capsys, "verify", "theorem11", "--n", "4", "--threads", threads)
@@ -401,14 +420,12 @@ def test_verify_theorem11_rejects_thread_counts_below_one(capsys):
 
 def test_verify_rejects_options_the_target_does_not_read(capsys):
     cases = (
-        (("theorem11", "--n", "10", "--trials", "5", "--seed", "3", "--tol", "0.5"),
-         ("--trials", "--seed", "--tol")),
+        (("theorem11", "--n", "10", "--trials", "5", "--seed", "3"), ("--trials", "--seed")),
         (("theorem11", "--n", "10", "--exploratory"), ("--exploratory",)),
-        (("lemmas", "--tol", "0.5"), ("--tol",)),
+        (("lemmas", "--trials", "5"), ("--trials",)),
         (("corollary14", "--chunk", "0/2"), ("--chunk",)),
-        (("corollary14", "--tol", "1e-9"), ("--tol",)),
         (("ordering-chain", "--n", "22", "--s", "2", "--parts", "1,1,3,15", "--k", "1",
-          "--tol", "1e-9"), ("--tol",)),
+          "--seed", "1"), ("--seed",)),
     )
     for argv, flags in cases:
         code, out, err = run(capsys, "verify", *argv)

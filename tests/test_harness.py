@@ -21,7 +21,6 @@ from specmatch import (
     complete_graph,
     corollary_comparison,
     distance_matrix,
-    distance_spectral_radii,
     distance_spectral_radius,
     disjoint_union,
     empty_graph,
@@ -51,7 +50,6 @@ from specmatch import (
 import specmatch.harness as harness
 from specmatch.harness import CHECKS, SuiteReport, check_probe_sample
 from specmatch.quotient import CertifiedRoot, family_quartic_root, largest_root
-from specmatch.spectra import Ordering, compare_estimates
 
 
 def test_threshold_reference_closed_forms():
@@ -206,7 +204,7 @@ def test_spec_orderings_run_with_no_eigensolver(monkeypatch):
         raise AssertionError("a hub-and-cliques graph was eigensolved")
 
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
-    monkeypatch.setattr(harness, "_stacked_radii", no_solve)
+    monkeypatch.setattr(harness, "_radius", no_solve)
     for spec, k in (
         (FamilySpec(18, 2, (3, 3, 3, 7)), 2),
         (FamilySpec(22, 2, (1, 1, 3, 15)), 1),
@@ -380,8 +378,9 @@ def test_packed_scan_tables_have_zero_padding():
 
 def test_scan_threads_give_the_single_process_report():
     # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs; two
-    # threads split on a table row boundary, three split mid-row
-    for n, chunk in ((6, (0, 1)), (8, (15, 1024))):
+    # threads split on a table row boundary, three split mid-row. The n=4
+    # chunks, empty and one mask, leave fewer than two ranges to fork
+    for n, chunk in ((6, (0, 1)), (8, (15, 1024)), (4, (0, 100)), (4, (5, 64))):
         single = pm_threshold_scan(n, chunk=chunk, threads=1)
         for threads in (2, 3):
             forked = pm_threshold_scan(n, chunk=chunk, threads=threads)
@@ -468,8 +467,8 @@ def _merged_cells(spec):
 def test_saturated_quotient_and_verdict_match_the_graph():
     # every spec up to n = 14: the merged quotient is the distance quotient of
     # the graph itself, and the exact verdict against a bracket agrees with
-    # compare_estimates on the graph's float estimate wherever that decides
-    decided = {Ordering.GREATER: 0, Ordering.LESS: 0}
+    # the graph's float bracket wherever the brackets separate
+    decided = {"greater": 0, "less": 0}
     for n in range(4, 15, 2):
         root = threshold_reference(n)
         for s, parts in _saturated_specs(n):
@@ -481,13 +480,12 @@ def test_saturated_quotient_and_verdict_match_the_graph():
             est = distance_spectral_radius(g)
             points = [Fraction(t) for t in range(int(est.lo) - 1, int(est.hi) + 3)]
             for ref in [root] + [CertifiedRoot(float(t), t, t) for t in points]:
-                order = compare_estimates(est, ref)
-                if order is Ordering.GREATER:
+                if est.lo > ref.hi:
                     assert harness._minor_certificate(rows, ref.hi) is not None
-                elif order is Ordering.LESS:
+                    decided["greater"] += 1
+                elif est.hi < ref.lo:
                     assert harness._minor_certificate(rows, ref.lo) is None
-                if order in decided:
-                    decided[order] += 1
+                    decided["less"] += 1
     assert all(count > 50 for count in decided.values()), decided
 
 
@@ -773,7 +771,7 @@ HEALTHY = {
     "fractional-pm": (_FRAC14, {}),
     "tutte-certificate": (_FRAC14, {"k": 1}),
     "exhaustive-oracles": (_FRAC14, {}),
-    "quartic-agreement": (_FRAC14, {"k": 1, "tol": 1e-8}),
+    "quartic-agreement": (_FRAC14, {"k": 1}),
     "wiener-closed-form": (_FRAC14, {"k": 1}),
     "radius-floor": (_FRAC14, {"k": 1}),
     "chain-equality": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 3, 9]}),
@@ -783,11 +781,11 @@ HEALTHY = {
         {"n": 22, "s": 2, "k": 1},
     ),
     # K_6 has a perfect matching, so it lies outside the theorem's hypotheses
-    "threshold-order": (complete_graph(6), {"n": 6, "tol": 1e-9}),
+    "threshold-order": (complete_graph(6), {"n": 6}),
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
-    "probe-order": (_FRAC14, {"n": 14, "k": 1, "tol": 1e-8}),
+    "probe-order": (_FRAC14, {"n": 14, "k": 1}),
     "corollary-order": (_FRAC14, {"n": 14}),
-    "wiener-bound": (complete_graph(5), {"tol": 1e-9}),
+    "wiener-bound": (complete_graph(5), {}),
     "edge-monotonicity": (_P4, {"edge": [0, 2]}),
     "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
@@ -799,7 +797,7 @@ FAILING = {
     "fractional-pm": (join(complete_graph(1), empty_graph(3)), {}),
     "tutte-certificate": (complete_graph(4), {"k": 1}),
     "exhaustive-oracles": (complete_graph(4), {}),
-    "quartic-agreement": (complete_graph(14), {"k": 1, "tol": 1e-8}),
+    "quartic-agreement": (complete_graph(14), {"k": 1}),
     "wiener-closed-form": (complete_graph(14), {"k": 1}),
     "radius-floor": (complete_graph(14), {"k": 1}),
     # the equality case claimed for a graph that is not the canonical shape
@@ -807,10 +805,10 @@ FAILING = {
     "chain-canonical": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1}),
     # the order-4 threshold graph held against the order-6 threshold
-    "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6, "tol": 1e-9}),
+    "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6}),
     # a reference bracket far above the graph's radius
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "reference": ["99", "99"]}),
-    "probe-order": (complete_graph(14), {"n": 14, "k": 1, "tol": 1e-8}),
+    "probe-order": (complete_graph(14), {"n": 14, "k": 1}),
     "corollary-order": (_PLAIN14, {"n": 14}),
     # the edge is already present, so "adding" it leaves the graph unchanged
     "edge-monotonicity": (_P4, {"edge": [0, 1]}),
@@ -920,41 +918,46 @@ def test_lemma_suites_small_run():
 
 
 def test_edge_monotonicity_replays_records_that_carry_tol():
-    # records written while the check compared float brackets carry "tol";
-    # the exact predicate takes no tolerance and replay drops the key
-    witness = write_graph6(_P4)
-    for edge, fails in (([0, 2], False), ([1, 3], False), ([0, 1], True)):
-        record = {"check": "edge-monotonicity", "witness": witness, "detail": "",
-                  "data": {"edge": edge, "tol": 1e-9}}
-        assert replay_violation(record) is fails
-    assert set(CHECKS["edge-monotonicity"](_P4, [0, 1])["data"]) == {"edge"}
+    # records written while these checks took a tolerance carry "tol"; the
+    # predicates take none and replay drops the key
+    for check in ("edge-monotonicity", "probe-order", "quartic-agreement", "threshold-order",
+                  "wiener-bound"):
+        cases = [(HEALTHY[check], False)]
+        if check in FAILING:
+            cases.append((FAILING[check], True))
+        for (g, data), fails in cases:
+            record = {"check": check, "witness": write_graph6(g), "detail": "",
+                      "data": {**data, "tol": 1e-9}}
+            assert replay_violation(record) is fails, check
+            if fails:
+                assert "tol" not in CHECKS[check](g, **data)["data"], check
 
 
 def test_edge_monotonicity_agrees_with_the_eigensolver():
-    # the exact distance-dominance certificate against the stacked float
-    # solves it replaced: every missing edge passes both ways
+    # the exact distance-dominance certificate against the float solves it
+    # replaced: every missing edge passes both ways
     rng = random.Random(20)
     pairs = 0
     for _ in range(100):
         n = rng.randrange(5, 15)
         g = random_connected_graph(rng, n)
         missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
-        est_g, *added = distance_spectral_radii([g] + [g.add_edge(*uv) for uv in missing], 1e-9)
-        for edge, est_h in zip(missing, added):
+        est_g = distance_spectral_radius(g)
+        for edge in missing:
             assert harness._check_edge_monotonicity(g, edge) is None
-            assert compare_estimates(est_g, est_h) is Ordering.GREATER, (write_graph6(g), edge)
+            est_h = distance_spectral_radius(g.add_edge(*edge))
+            assert est_g.lo > est_h.hi, (write_graph6(g), edge)
         pairs += len(missing)
     assert pairs > 1000
 
 
 def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
-    calls = {"_distance_matrices": [], "_stacked_radii": []}
-    for name, log in calls.items():
-        def counted(stack, *args, _fn=getattr(harness, name), _log=log):
-            _log.append(len(stack))
-            return _fn(stack, *args)
-
-        monkeypatch.setattr(harness, name, counted)
+    stacks, solves = [], []
+    distances, radius = harness._distance_matrices, harness._radius
+    monkeypatch.setattr(
+        harness, "_distance_matrices", lambda graphs: stacks.append(len(graphs)) or distances(graphs)
+    )
+    monkeypatch.setattr(harness, "_radius", lambda dist: solves.append(dist.shape) or radius(dist))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a lemma graph was solved outside its stack")
@@ -963,9 +966,9 @@ def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
     report = lemma_suites(3, monotonicity_graphs=7, ordering_specs=2, corollary_span=(14, 16))
     assert report.passed
     # one stack of G and every G + uv, and one eigensolve, of G alone, per graph
-    assert sum(calls["_distance_matrices"]) == 7 + report.extras["edge_checks"]
-    assert calls["_stacked_radii"] == [1] * 7
-    assert len(calls["_distance_matrices"]) == 7
+    assert sum(stacks) == 7 + report.extras["edge_checks"]
+    assert len(stacks) == 7
+    assert len(solves) == 7 and all(len(shape) == 2 for shape in solves)
 
 
 def test_lemma_suites_deterministic():
@@ -998,7 +1001,7 @@ def test_corollary_span_is_rejected_before_any_eigensolve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the corollary span was checked")
 
-    monkeypatch.setattr(harness, "_stacked_radii", no_solve)
+    monkeypatch.setattr(harness, "_radius", no_solve)
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
     for span in ((14, 66), (13, 40), (20, 14), (14, 41)):
         with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):

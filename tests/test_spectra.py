@@ -15,19 +15,17 @@ from specmatch import (
     ConvergenceError,
     DisconnectedError,
     Graph,
-    Ordering,
     ParameterError,
     SpectralEstimate,
-    compare_estimates,
     complete_graph,
     disjoint_union,
     distance_matrix,
-    distance_spectral_radii,
     distance_spectral_radius,
     empty_graph,
     extremal_family,
     join,
     wiener_index,
+    write_graph6,
 )
 from specmatch.quotient import family_quartic_root
 
@@ -170,6 +168,8 @@ def test_parameter_validation():
         distance_spectral_radius(complete_graph(4), tol=1e-13)
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=float("nan"))
+    with pytest.raises(DisconnectedError):
+        distance_spectral_radius(disjoint_union(complete_graph(2), complete_graph(3)))
 
 
 def test_convergence_error_carries_bracket(monkeypatch):
@@ -180,6 +180,12 @@ def test_convergence_error_carries_bracket(monkeypatch):
         distance_spectral_radius(_path(5), tol=1e-12)
     assert err.value.iterations == 0
     assert (err.value.lo, err.value.hi) == (8.0, 10.0)
+    # with one step allowed, P37 carries the bracket of the reference loop's first step
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        distance_spectral_radius(_path(37), tol=1e-12)
+    first_step = _reference_fields(_path(37), math.inf)
+    assert (err.value.lo, err.value.hi, err.value.iterations) == (*first_step[1:3], 1)
 
 
 def _fields(est):
@@ -206,63 +212,26 @@ def _reference_fields(g, tol):
     return (value, lo, hi, iterations, float(np.abs(dx - value * x).max()))
 
 
-def test_stacked_radii_equal_single_solves():
-    # one stacked solve gives each graph exactly the estimate it gets alone,
-    # and both round exactly as the one-graph loop does
+def test_radius_equals_the_reference_loop():
+    # the solver rounds exactly as the plain one-graph loop does, on random
+    # graphs and on long paths, which need several steps at 1e-12 while K_n
+    # stops after one
     rng = random.Random(17)
-    for n in range(2, 41):
-        graphs = [_random_connected(rng, n) for _ in range(6)]
-        for tol in (1e-8, 1e-12):
-            estimates = distance_spectral_radii(graphs, tol)
-            assert [e.wiener for e in estimates] == [wiener_index(g) for g in graphs]
-            stacked = [_fields(e) for e in estimates]
-            assert stacked == [_fields(distance_spectral_radius(g, tol)) for g in graphs]
-            assert stacked == [_reference_fields(g, tol) for g in graphs], (n, tol)
-
-
-def test_stack_mixing_fast_and_slow_convergers():
-    # long paths need several steps at 1e-12 while K_n stops after one; a
-    # graph that has converged must not be stepped again
+    graphs = [_random_connected(rng, n) for n in range(2, 41) for _ in range(6)]
+    cases = [(g, tol) for g in graphs for tol in (1e-8, 1e-12)]
     rng = random.Random(23)
-    steps = set()
     for n in (34, 37, 38, 40, 64):
-        graphs = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n), _path(n)]
-        graphs += [_random_connected(rng, n) for _ in range(4)]
-        stacked = distance_spectral_radii(graphs, 1e-12)
-        assert [_fields(e) for e in stacked] == [_reference_fields(g, 1e-12) for g in graphs], n
-        assert [_fields(e) for e in stacked] == [
-            _fields(distance_spectral_radius(g, 1e-12)) for g in graphs
-        ], n
-        assert stacked[0].iterations == 1 < stacked[1].iterations, n
-        steps |= {e.iterations for e in stacked}
+        slow = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n)]
+        cases += [(g, 1e-12) for g in slow + [_random_connected(rng, n) for _ in range(4)]]
+        assert distance_spectral_radius(slow[0], 1e-12).iterations == 1, n
+        assert distance_spectral_radius(slow[1], 1e-12).iterations > 1, n
+    steps = set()
+    for g, tol in cases:
+        est = distance_spectral_radius(g, tol)
+        assert est.wiener == wiener_index(g)
+        assert _fields(est) == _reference_fields(g, tol), (write_graph6(g), tol)
+        steps.add(est.iterations)
     assert len(steps) >= 3
-
-
-def test_stacked_radii_reject_bad_input(monkeypatch):
-    with pytest.raises(ParameterError):
-        distance_spectral_radii([])
-    with pytest.raises(ParameterError):
-        distance_spectral_radii([_path(4), _path(5)])
-    with pytest.raises(ParameterError):
-        distance_spectral_radii([complete_graph(1), complete_graph(1)])
-    with pytest.raises(ParameterError):
-        distance_spectral_radii([_path(4)], tol=float("nan"))
-    with pytest.raises(DisconnectedError):
-        distance_spectral_radii([_path(5), disjoint_union(complete_graph(2), complete_graph(3))])
-    # the error carries the first straggler's bracket: with no steps allowed,
-    # P5's starting bracket; with one step, that of P37 behind a converged K37
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
-    with pytest.raises(ConvergenceError) as err:
-        distance_spectral_radii([_path(5), complete_graph(5)], tol=1e-12)
-    assert (err.value.lo, err.value.hi, err.value.iterations) == (8.0, 10.0, 0)
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError) as alone:
-        distance_spectral_radius(_path(37), tol=1e-12)
-    with pytest.raises(ConvergenceError) as err:
-        distance_spectral_radii([complete_graph(37), _path(37), _path(37)], tol=1e-12)
-    assert (err.value.lo, err.value.hi, err.value.iterations) == (
-        alone.value.lo, alone.value.hi, 1
-    )
 
 
 def test_brackets_contain_exact_family_roots():
@@ -289,33 +258,22 @@ def test_long_path_converges_at_the_tightest_tolerance():
     assert est.iterations <= 8
 
 
-def test_compare_estimates_orderings():
-    a = SpectralEstimate(value=5.0, residual=0.0, lo=4.9, hi=5.1, iterations=1)
-    b = SpectralEstimate(value=3.0, residual=0.0, lo=2.9, hi=3.1, iterations=1)
-    assert compare_estimates(a, b) is Ordering.GREATER
-    assert compare_estimates(b, a) is Ordering.LESS
-    overlapping = SpectralEstimate(value=5.0, residual=0.0, lo=5.0, hi=5.2, iterations=1)
-    assert compare_estimates(a, overlapping) is Ordering.INDETERMINATE
+def test_compare_mu_known_pairs():
+    # a radius is strictly above another only when the brackets separate
+    def greater(g, h):
+        return distance_spectral_radius(g).lo > distance_spectral_radius(h).hi
+
+    # removing edges increases every distance, so mu goes up strictly
+    assert greater(_path(4), complete_graph(4))
+    assert not greater(complete_graph(4), _path(4))
+    g = extremal_family(14, 1)
+    assert not greater(g, g)
+    # the k=1 minimizer sits strictly below this non-matching competitor
+    competitor = join(complete_graph(2), disjoint_union(
+        empty_graph(2), disjoint_union(complete_graph(3), complete_graph(7))))
+    assert greater(competitor, g)
     # an exact root is read exactly: the double 0.1 lies just above 1/10, but
     # float(Fraction(1, 10)) == 0.1, so through the float the brackets touch
     est = SpectralEstimate(value=0.2, residual=0.0, lo=0.1, hi=0.3, iterations=1)
     root = CertifiedRoot(value=0.075, lo=Fraction(1, 20), hi=Fraction(1, 10))
-    assert compare_estimates(est, root) is Ordering.GREATER
-    assert compare_estimates(root, est) is Ordering.LESS
-
-
-def test_compare_mu_known_pairs():
-    def compare_mu(g, h):
-        return compare_estimates(
-            distance_spectral_radius(g, 1e-9), distance_spectral_radius(h, 1e-9)
-        )
-
-    # removing edges increases every distance, so mu goes up strictly
-    assert compare_mu(_path(4), complete_graph(4)) is Ordering.GREATER
-    assert compare_mu(complete_graph(4), _path(4)) is Ordering.LESS
-    g = extremal_family(14, 1)
-    assert compare_mu(g, g) is Ordering.INDETERMINATE
-    # the k=1 minimizer sits strictly below this non-matching competitor
-    competitor = join(complete_graph(2), disjoint_union(
-        empty_graph(2), disjoint_union(complete_graph(3), complete_graph(7))))
-    assert compare_mu(competitor, g) is Ordering.GREATER
+    assert est.lo > root.hi and not est.lo > float(root.hi)
