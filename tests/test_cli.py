@@ -358,6 +358,17 @@ def test_verify_corollary14(capsys):
     assert code == 2 and "n_lo <= n_hi <= 64" in err and out == ""
 
 
+def test_verify_corollary14_rejects_tolerance(capsys):
+    # the comparison is exact: no tolerance reaches it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "corollary14", "--n", "16", "--tol", "1e-9", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --tol" in err
+    code, payload, _ = run_json(capsys, "verify", "corollary14", "--n", "16", "--json")
+    assert code == 0 and "tol" not in payload["result"]["params"]
+
+
 def test_verify_theorem11_reduction_rejects_chunks(capsys):
     for argv in (("--n", "10", "--chunk", "1/4"), ("--n", "10", "--threads", "2")):
         code, out, err = run(capsys, "verify", "theorem11", *argv)
@@ -375,7 +386,6 @@ def test_verify_theorem11_has_no_variant_option(capsys):
     cases += [
         (*argv, "--tol", "1e-9")
         for argv in (
-            ("corollary14", "--n", "16", "--json"),
             ("lemmas",),
             ("theorem11", "--n", "10"),
             ("theorem13-family", "--n", "14", "--k", "1"),
@@ -389,8 +399,6 @@ def test_verify_theorem11_has_no_variant_option(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"unrecognized arguments: {argv[-2]}" in err
-    code, payload, _ = run_json(capsys, "verify", "corollary14", "--n", "16", "--json")
-    assert code == 0 and "tol" not in payload["result"]["params"]
 
 
 def test_verify_theorem11_n64(capsys):

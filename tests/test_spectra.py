@@ -25,7 +25,6 @@ from specmatch import (
     extremal_family,
     join,
     wiener_index,
-    write_graph6,
 )
 from specmatch.quotient import family_quartic_root
 
@@ -168,8 +167,6 @@ def test_parameter_validation():
         distance_spectral_radius(complete_graph(4), tol=1e-13)
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=float("nan"))
-    with pytest.raises(DisconnectedError):
-        distance_spectral_radius(disjoint_union(complete_graph(2), complete_graph(3)))
 
 
 def test_convergence_error_carries_bracket(monkeypatch):
@@ -180,12 +177,6 @@ def test_convergence_error_carries_bracket(monkeypatch):
         distance_spectral_radius(_path(5), tol=1e-12)
     assert err.value.iterations == 0
     assert (err.value.lo, err.value.hi) == (8.0, 10.0)
-    # with one step allowed, P37 carries the bracket of the reference loop's first step
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError) as err:
-        distance_spectral_radius(_path(37), tol=1e-12)
-    first_step = _reference_fields(_path(37), math.inf)
-    assert (err.value.lo, err.value.hi, err.value.iterations) == (*first_step[1:3], 1)
 
 
 def _fields(est):
@@ -212,26 +203,66 @@ def _reference_fields(g, tol):
     return (value, lo, hi, iterations, float(np.abs(dx - value * x).max()))
 
 
-def test_radius_equals_the_reference_loop():
-    # the solver rounds exactly as the plain one-graph loop does, on random
-    # graphs and on long paths, which need several steps at 1e-12 while K_n
-    # stops after one
+def _stacked_radii(graphs, tol):
+    """Each graph's estimate from its slice of one stacked BFS, as lemma_suites solves G."""
+    dists = specmatch.spectra._distance_matrices(graphs)
+    return [specmatch.spectra._radius(dist, tol) for dist in dists]
+
+
+def test_stacked_radii_equal_single_solves():
+    # a slice of one stacked BFS gives each graph exactly the estimate it gets
+    # alone, and both round exactly as the one-graph loop does
     rng = random.Random(17)
-    graphs = [_random_connected(rng, n) for n in range(2, 41) for _ in range(6)]
-    cases = [(g, tol) for g in graphs for tol in (1e-8, 1e-12)]
+    for n in range(2, 41):
+        graphs = [_random_connected(rng, n) for _ in range(6)]
+        for tol in (1e-8, 1e-12):
+            estimates = [distance_spectral_radius(g, tol) for g in graphs]
+            assert [e.wiener for e in estimates] == [wiener_index(g) for g in graphs]
+            single = [_fields(e) for e in estimates]
+            assert single == [_fields(e) for e in _stacked_radii(graphs, tol)]
+            assert single == [_reference_fields(g, tol) for g in graphs], (n, tol)
+
+
+def test_stack_mixing_fast_and_slow_convergers():
+    # long paths need several steps at 1e-12 while K_n stops after one; a
+    # slow graph in the stack does not change the estimate of a fast one
     rng = random.Random(23)
-    for n in (34, 37, 38, 40, 64):
-        slow = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n)]
-        cases += [(g, 1e-12) for g in slow + [_random_connected(rng, n) for _ in range(4)]]
-        assert distance_spectral_radius(slow[0], 1e-12).iterations == 1, n
-        assert distance_spectral_radius(slow[1], 1e-12).iterations > 1, n
     steps = set()
-    for g, tol in cases:
-        est = distance_spectral_radius(g, tol)
-        assert est.wiener == wiener_index(g)
-        assert _fields(est) == _reference_fields(g, tol), (write_graph6(g), tol)
-        steps.add(est.iterations)
+    for n in (34, 37, 38, 40, 64):
+        graphs = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n), _path(n)]
+        graphs += [_random_connected(rng, n) for _ in range(4)]
+        stacked = _stacked_radii(graphs, 1e-12)
+        assert [_fields(e) for e in stacked] == [_reference_fields(g, 1e-12) for g in graphs], n
+        assert [_fields(e) for e in stacked] == [
+            _fields(distance_spectral_radius(g, 1e-12)) for g in graphs
+        ], n
+        assert stacked[0].iterations == 1 < stacked[1].iterations, n
+        steps |= {e.iterations for e in stacked}
     assert len(steps) >= 3
+
+
+def test_stacked_radii_reject_bad_input(monkeypatch):
+    with pytest.raises(DisconnectedError):
+        distance_spectral_radius(disjoint_union(complete_graph(2), complete_graph(3)))
+    with pytest.raises(DisconnectedError):
+        _stacked_radii([_path(5), disjoint_union(complete_graph(2), complete_graph(3))], 1e-10)
+    # the error carries the graph's own bracket: with no steps allowed, P5's
+    # starting bracket; with one step, P37's first step, also behind a
+    # converged K37 in the stack
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError) as err:
+        _stacked_radii([_path(5), complete_graph(5)], 1e-12)
+    assert (err.value.lo, err.value.hi, err.value.iterations) == (8.0, 10.0, 0)
+    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError) as alone:
+        distance_spectral_radius(_path(37), tol=1e-12)
+    first_step = _reference_fields(_path(37), math.inf)
+    assert (alone.value.lo, alone.value.hi, alone.value.iterations) == (*first_step[1:3], 1)
+    with pytest.raises(ConvergenceError) as err:
+        _stacked_radii([complete_graph(37), _path(37), _path(37)], 1e-12)
+    assert (err.value.lo, err.value.hi, err.value.iterations) == (
+        alone.value.lo, alone.value.hi, 1
+    )
 
 
 def test_brackets_contain_exact_family_roots():
@@ -258,6 +289,21 @@ def test_long_path_converges_at_the_tightest_tolerance():
     assert est.iterations <= 8
 
 
+def test_compare_estimates_orderings():
+    # one radius is strictly above another only when the brackets separate
+    a = SpectralEstimate(value=5.0, residual=0.0, lo=4.9, hi=5.1, iterations=1)
+    b = SpectralEstimate(value=3.0, residual=0.0, lo=2.9, hi=3.1, iterations=1)
+    assert a.lo > b.hi and not b.lo > a.hi
+    overlapping = SpectralEstimate(value=5.0, residual=0.0, lo=5.0, hi=5.2, iterations=1)
+    assert not a.lo > overlapping.hi and not overlapping.lo > a.hi
+    # an exact root is read exactly: the double 0.1 lies just above 1/10, but
+    # float(Fraction(1, 10)) == 0.1, so through the float the brackets touch
+    est = SpectralEstimate(value=0.2, residual=0.0, lo=0.1, hi=0.3, iterations=1)
+    root = CertifiedRoot(value=0.075, lo=Fraction(1, 20), hi=Fraction(1, 10))
+    assert est.lo > root.hi and not est.lo > float(root.hi)
+    assert root.hi < est.lo
+
+
 def test_compare_mu_known_pairs():
     # a radius is strictly above another only when the brackets separate
     def greater(g, h):
@@ -272,8 +318,3 @@ def test_compare_mu_known_pairs():
     competitor = join(complete_graph(2), disjoint_union(
         empty_graph(2), disjoint_union(complete_graph(3), complete_graph(7))))
     assert greater(competitor, g)
-    # an exact root is read exactly: the double 0.1 lies just above 1/10, but
-    # float(Fraction(1, 10)) == 0.1, so through the float the brackets touch
-    est = SpectralEstimate(value=0.2, residual=0.0, lo=0.1, hi=0.3, iterations=1)
-    root = CertifiedRoot(value=0.075, lo=Fraction(1, 20), hi=Fraction(1, 10))
-    assert est.lo > root.hi and not est.lo > float(root.hi)
