@@ -271,7 +271,7 @@ _VERIFY_OPTIONS = {
     "lemmas": {"seed": 0},
     "theorem11": {"n": None, "chunk": "0/1", "threads": 1},
     "theorem13-family": {"n": None, "k": None},
-    "ordering-chain": {"n": None, "s": None, "parts": None, "k": None},
+    "ordering-chain": {"n": None, "s": None, "parts": None, "k": None, "exploratory": False},
     "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "exploratory": False},
     "corollary14": {"n": 40},
 }
@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
         report = harness.verify_extremal_family(args.n, args.k)
     elif target == "ordering-chain":
         spec = FamilySpec(args.n, args.s, _parse_parts(args.parts))
-        report = harness.verify_ordering_chain(spec, args.k)
+        report = harness.verify_ordering_chain(spec, args.k, exploratory=args.exploratory)
     elif target == "probe13":
         report = harness.probe_extremal_bound(
             args.n, args.k, trials=args.trials, seed=args.seed, exploratory=args.exploratory

@@ -314,12 +314,13 @@ def _check_chain_threshold(g: Graph | None, n: int, s: int, k: int) -> dict | No
     return _check_spec_order("chain-threshold", g, n, spec, ref, s=s, k=k)
 
 
-def verify_ordering_chain(spec: FamilySpec, k: int) -> SuiteReport:
+def verify_ordering_chain(spec: FamilySpec, k: int, exploratory: bool = False) -> SuiteReport:
     """Orders mu along the chain: an arbitrary valid hub-and-cliques graph sits
     strictly above the canonical shape K_s v (sK_1 u K_3 u K_{n-2s-3}) (equal
     only when it already is that shape), which for s >= k+1 sits strictly
     above the k-hub threshold graph. Every leg is decided exactly on the
-    specs' quotients; no graph is built unless a leg fails.
+    specs' quotients; no graph is built unless a leg fails. Below n = 6k+6 the
+    threshold leg can fail, and it runs only when `exploratory` (flagged).
     """
     n, s, q = spec.n, spec.s, spec.q
     if k < 1 or s < k:
@@ -333,9 +334,13 @@ def verify_ordering_chain(spec: FamilySpec, k: int) -> SuiteReport:
         raise ParameterError(f"largest part {spec.parts[-1]} exceeds bound {bound}")
     if n < 2 * k + 6:
         raise ParameterError(f"need n >= 2k+6 for the threshold graph, got {n}")
+    if s >= k + 1 and n < 6 * k + 6 and not exploratory:
+        raise ParameterError(f"threshold leg needs n >= 6k+6={6 * k + 6} (or exploratory), got {n}")
 
     t0 = time.perf_counter()
     report = SuiteReport("ordering-chain", {"n": n, "s": s, "parts": list(spec.parts), "k": k})
+    if exploratory:
+        report.extras["exploratory"] = True
     canonical = canonical_parts(n, s)
     report.extras["equality_case"] = spec.parts == canonical
     mu = report.extras["mu"] = {
@@ -589,14 +594,14 @@ def pm_threshold_scan(
         _saturated_order_scan(report, n, ref_root)
     else:
         start, stop = _chunk_range(1 << (n * (n - 1) // 2), chunk)
+        threads = max(1, min(threads, len(os.sched_getaffinity(0)), stop - start))
         edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
         args = [(n, a, b, ref_root, m_max) for a, b in zip(edges, edges[1:]) if a < b]
         if len(args) > 1:
             import multiprocessing as mp
 
             _scan_tables(n)  # built once here, inherited by the forked workers
-            workers = min(len(args), len(os.sched_getaffinity(0)))
-            with mp.get_context("fork").Pool(workers) as pool:
+            with mp.get_context("fork").Pool(len(args)) as pool:
                 results = pool.starmap(_scan_range, args)
         else:
             results = [_scan_range(n, start, stop, ref_root, m_max, progress)]
@@ -817,15 +822,20 @@ def _check_wiener_bound(g: Graph, est=None) -> dict | None:
     return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n)
 
 
-def _check_edge_monotonicity(g: Graph, edge: list[int], dist_g=None, dist_h=None) -> dict | None:
+def _dominated(dist_h: np.ndarray, dist_g: np.ndarray) -> np.ndarray:
+    """D(H) <= D(G) entrywise with some entry lower, for each H of a stack."""
+    return (dist_h <= dist_g).all(axis=(-2, -1)) & (dist_h < dist_g).any(axis=(-2, -1))
+
+
+def _check_edge_monotonicity(g: Graph, edge: list[int], dominated=None) -> dict | None:
     """Adding the missing edge uv strictly lowers the radius: D(G + uv) <= D(G)
     entrywise with some entry lower (no path lengthens, d(u, v) drops to 1),
     and D(G) is irreducible for G connected, n >= 2, so rho drops strictly by
     Perron-Frobenius (Berman & Plemmons, 1994, ch. 2, Wielandt's theorem)."""
     u, v = edge
-    if dist_g is None or dist_h is None:
-        dist_g, dist_h = _distance_matrices([g, g.add_edge(u, v)])
-    if (dist_h <= dist_g).all() and (dist_h < dist_g).any():
+    if dominated is None:
+        dominated = _dominated(*_distance_matrices([g.add_edge(u, v), g]))
+    if dominated:
         return None
     detail = "D(G + uv) is not entrywise at most D(G) with some entry lower"
     return _violation("edge-monotonicity", g, detail, edge=[u, v])
@@ -846,11 +856,11 @@ def lemma_suites(
 ) -> SuiteReport:
     """Randomized checks of the supporting inequalities.
 
-    Edge addition strictly lowers the radius, decided exactly on the D(G)
-    and D(G + uv) of one stacked BFS; G's estimate, its one eigensolve, stays
-    above 2W/n; random valid hub-and-cliques graphs sit strictly above their
-    canonical shape; and the two thresholds compare correctly on even orders
-    in `corollary_span`, these two exactly on quotients, with no eigensolve.
+    Adding an edge strictly lowers the radius, decided exactly by one
+    dominance test over the stacked BFS of G and every G + uv; G's estimate,
+    its one eigensolve, stays above 2W/n; random valid hub-and-cliques graphs
+    sit strictly above their canonical shape; and the two thresholds compare
+    on even orders in `corollary_span`, these two exactly on quotients.
     """
     if min(monotonicity_graphs, ordering_specs) < 0:
         raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
@@ -873,8 +883,8 @@ def lemma_suites(
         missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
         dists = _distance_matrices([g] + [g.add_edge(*uv) for uv in missing])
         _record(report, _check_wiener_bound(g, _radius(dists[0])))
-        for edge, dist_h in zip(missing, dists[1:]):
-            _record(report, _check_edge_monotonicity(g, edge, dists[0], dist_h))
+        for edge, dominated in zip(missing, _dominated(dists[1:], dists[0]).tolist()):
+            _record(report, _check_edge_monotonicity(g, edge, dominated))
         edge_checks += len(missing)
     report.extras["edge_checks"] = edge_checks
 
@@ -920,8 +930,8 @@ def identity_suite(
     difference across hub sizes factors through hub_gap_coefficient; twice
     its value at s=(n-6)/2 is gap_bound_cubic; the cubic at mu=n+k+3 matches
     the expanded form, is negative, and both it and the cubic's tail are
-    certified decreasing. All arithmetic is over Fractions, so the stated
-    1e-6 tolerances are met with exact zeros.
+    certified decreasing. All arithmetic is exact, in ints and Fractions: each
+    identity holds with equality and each sign is an exact comparison.
     """
     if min(grid_span, k_top) < 0 or min(ks, default=1) < 1 or not (ks or k_top):
         got = f"ks={ks}, grid_span={grid_span}, k_top={k_top}"

@@ -92,12 +92,20 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction arguments."""
-        acc = self.coefficients[0]
-        for c in self.coefficients[1:]:
-            acc = acc * x + c
-        return acc
+    def _scaled(self) -> tuple[int, list[int]]:
+        """The lcm L of the coefficients' denominators, and L times each coefficient."""
+        scale = math.lcm(*(c.denominator for c in self.coefficients))
+        return scale, [c.numerator * (scale // c.denominator) for c in self.coefficients]
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """Exact value at x = p/q: Horner in integers on L q^d poly(x), then one Fraction."""
+        p, q = x.numerator, x.denominator
+        scale, coefficients = self._scaled()
+        acc, power = 0, 1
+        for c in coefficients:
+            acc = acc * p + c * power
+            power *= q
+        return Fraction(acc, scale * power // q)
 
 
 def char_poly(q: Iterable[Iterable]) -> ExactPolynomial:
@@ -208,8 +216,7 @@ def largest_root(
         raise ParameterError(f"root width must be positive, got {width}")
     if poly.degree < 1:
         raise ParameterError("constant polynomial has no roots")
-    scale = math.lcm(*(c.denominator for c in poly.coefficients))
-    coefficients = [int(c * scale) for c in poly.coefficients]
+    coefficients = poly._scaled()[1]
     changes, sign = _shifted_signs(coefficients, hi.numerator, hi.denominator)
     if changes:
         raise BracketError(f"Descartes' rule allows a root above {hi}")
@@ -321,17 +328,10 @@ def hub_gap_coefficient(s, n: int, k: int, mu):
     """Quadratic-in-s factor linking the quartics of hub sizes s and k:
     quartic(n,s)(x) - quartic(n,k)(x) == (s - k) * hub_gap_coefficient(s, n, k, x).
     """
-    return (
-        -(2 * mu + 8) * s * s
-        + (5 * mu * mu + (n - 2 * k + 16) * mu + 4 * n - 8 * k - 4) * s
-        - mu**3
-        - (2 * n - 5 * k - 16) * mu * mu
-        + ((k - 7) * n - 2 * k * k + 16 * k + 62) * mu
-        + (4 * k - 2) * n
-        - 8 * k * k
-        - 4 * k
-        + 36
-    )
+    c2 = 5 * s - 2 * n + 5 * k + 16
+    c1 = (n - 2 * k + 16 - 2 * s) * s + (k - 7) * n - 2 * k * k + 16 * k + 62
+    c0 = (4 * n - 8 * k - 4 - 8 * s) * s + (4 * k - 2) * n - 8 * k * k - 4 * k + 36
+    return ((c2 - mu) * mu + c1) * mu + c0
 
 
 def gap_bound_cubic(mu, n: int, k: int):

@@ -309,6 +309,18 @@ def test_verify_ordering_chain(capsys):
     assert code == 2
 
 
+def test_verify_ordering_chain_below_the_threshold_range(capsys):
+    # the 2-hub canonical root 13.796 lies below the 1-hub threshold 13.867 at
+    # n = 10 < 6k+6: refused as out of range, failed only when explored
+    argv = ("verify", "ordering-chain", "--n", "10", "--s", "2", "--parts", "1,1,3,3", "--k", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "6k+6=12" in err and out == ""
+    code, payload, _ = run_json(capsys, *argv, "--exploratory", "--json")
+    result = payload["result"]
+    assert code == 1 and result["extras"]["exploratory"] is True
+    assert [v["check"] for v in result["violations"]] == ["chain-threshold"]
+
+
 def test_verify_probe13(capsys):
     code, out, _ = run(
         capsys, "verify", "probe13",

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,13 @@ def test_ordering_chain_validation():
         verify_ordering_chain(FamilySpec(14, 2, (3, 9)), k=1)  # q < s+2
     with pytest.raises(ParameterError):
         verify_ordering_chain(FamilySpec(14, 1, (1, 1, 3, 9)), k=1)  # part s+1 is 1
+    with pytest.raises(ParameterError, match="6k\\+6"):
+        verify_ordering_chain(FamilySpec(10, 2, (1, 1, 3, 3)), k=1)  # threshold leg, n < 6k+6
+    # the same n admits a chain with no threshold leg, and any leg when explored
+    assert verify_ordering_chain(FamilySpec(10, 1, (1, 3, 5)), k=1).passed
+    report = verify_ordering_chain(FamilySpec(10, 2, (1, 1, 3, 3)), k=1, exploratory=True)
+    assert report.extras["exploratory"] and not report.passed
+    assert verify_ordering_chain(FamilySpec(12, 2, (1, 1, 3, 5)), k=1).passed  # n = 6k+6
 
 
 def test_scan_n4_exhaustive_counts():
@@ -387,9 +395,10 @@ def test_scan_threads_give_the_single_process_report():
             assert forked.to_dict(include_timing=False) == single.to_dict(include_timing=False)
 
 
-def test_scan_pool_is_capped_at_the_usable_cpus(monkeypatch):
-    # an in-process stand-in for the fork pool records its size and runs
-    # every range here, so no worker process is started
+def _inline_pool(monkeypatch, cpus: int) -> tuple[list[int], list[int]]:
+    """Stand in for the fork pool on `cpus` usable CPUs: each pool's size and
+    range count are recorded and every range runs here, so no worker process
+    is started."""
     sizes, ranges = [], []
 
     class InlinePool:
@@ -409,12 +418,35 @@ def test_scan_pool_is_capped_at_the_usable_cpus(monkeypatch):
     class InlineContext:
         Pool = InlinePool
 
-    single = pm_threshold_scan(6, threads=1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext())
+    return sizes, ranges
+
+
+def test_scan_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    single = pm_threshold_scan(6, threads=1)
+    sizes, ranges = _inline_pool(monkeypatch, 2)
     report = pm_threshold_scan(6, threads=1000)
-    assert sizes == [2] and ranges == [1000]
+    # the work splits into one range per worker, not one per requested thread
+    assert sizes == [2] and ranges == [2]
     assert report.to_dict(include_timing=False) == single.to_dict(include_timing=False)
+
+
+def test_scan_threads_are_clamped_before_any_range_is_built(monkeypatch):
+    single = pm_threshold_scan(4, threads=1).to_dict(include_timing=False)
+    for cpus in (1, 2, 3):
+        sizes, ranges = _inline_pool(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            report = pm_threshold_scan(4, threads=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.to_dict(include_timing=False) == single
+        # one CPU runs in process; never more workers than usable CPUs
+        assert sizes == ranges == ([cpus] if cpus > 1 else [])
+        # a list of 10^6 range edges would hold 8 MB of pointers alone
+        assert peak < 1 << 20, peak
 
 
 def test_scan_progress_counts_up_to_the_masks_scanned():
@@ -969,6 +1001,53 @@ def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
     assert sum(stacks) == 7 + report.extras["edge_checks"]
     assert len(stacks) == 7
     assert len(solves) == 7 and all(len(shape) == 2 for shape in solves)
+
+
+def test_lemma_suites_decide_each_stack_with_one_dominance_test(monkeypatch):
+    tests = []
+    dominated = harness._dominated
+    monkeypatch.setattr(
+        harness, "_dominated", lambda h, g: tests.append(h.shape) or dominated(h, g)
+    )
+    report = lemma_suites(5, monotonicity_graphs=9, ordering_specs=0, corollary_span=(14, 14))
+    assert report.passed
+    # one call per random graph, over the stack of every G + uv at once
+    assert len(tests) == 9 and all(len(shape) == 3 for shape in tests)
+    assert sum(shape[0] for shape in tests) == report.extras["edge_checks"]
+
+
+def test_doctored_stack_records_exactly_that_edge(monkeypatch):
+    # the first stack's last slice, G + uv for G's last missing edge, is set
+    # to D(G): D(G + uv) == D(G) is not dominated, so only that edge fails
+    kwargs = dict(seed=4, monotonicity_graphs=5, ordering_specs=2, corollary_span=(14, 14))
+    clean = lemma_suites(**kwargs)
+    distances = harness._distance_matrices
+    doctored = []
+
+    def doctor(graphs):
+        dists = distances(graphs)
+        if not doctored:
+            doctored.extend((graphs[0], graphs[-1]))
+        g, h = doctored
+        if g in graphs and h in graphs:
+            dists[graphs.index(h)] = dists[graphs.index(g)]
+        return dists
+
+    monkeypatch.setattr(harness, "_distance_matrices", doctor)
+    report = lemma_suites(**kwargs)
+    g, h = doctored
+    [violation] = report.violations
+    assert violation["check"] == "edge-monotonicity"
+    assert violation["witness"] == write_graph6(g)
+    u, v = violation["data"]["edge"]
+    assert not g.has_edge(u, v) and g.add_edge(u, v) == h
+    assert report.cases == clean.cases
+    assert report.extras["edge_checks"] == clean.extras["edge_checks"]
+    # the record replays through the same predicate: it fails on the doctored
+    # distances and passes on the true ones
+    assert replay_violation(violation) is True
+    monkeypatch.undo()
+    assert replay_violation(violation) is False
 
 
 def test_lemma_suites_deterministic():

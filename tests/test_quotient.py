@@ -1,5 +1,6 @@
 """Exact quotient algebra: equitable partitions, char polys, certified roots."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -146,10 +147,48 @@ def test_exact_polynomial_basics():
     assert p.degree == 2
     assert p(1) == 0 and p(2) == 0 and p(3) == 2
     assert p(Fraction(1, 2)) == Fraction(3, 4)
-    assert isinstance(p(1.5), float)
     assert p.coefficients == (1, -3, 2)
     with pytest.raises(ParameterError):
         ExactPolynomial(())
+
+
+def _naive_horner(p, x):
+    acc = p.coefficients[0]
+    for c in p.coefficients[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _assert_exact_value(p, x):
+    value = p(x)
+    assert type(value) is Fraction and value == _naive_horner(p, Fraction(x))
+    # lowest terms: the Fraction built from the integer Horner sum is reduced
+    assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+
+
+def test_exact_polynomial_evaluates_in_lowest_terms():
+    rng = random.Random(21)
+    points = [0, -1, 7, -13, Fraction(-5, 3), Fraction(1, 2**40), Fraction(-(2**40) - 1, 2**40 - 3)]
+    for _ in range(60):
+        degree = rng.randrange(0, 7)
+        coefficients = [
+            Fraction(rng.randrange(-99, 100), rng.choice((1, 2, 6, 35, 2**40 + 15)))
+            for _ in range(degree + 1)
+        ]
+        p = ExactPolynomial(tuple(coefficients))
+        x = Fraction(rng.randrange(-(2**41), 2**41), rng.randrange(1, 2**40))
+        for point in points + [x, -x]:
+            _assert_exact_value(p, point)
+    # a value that must cancel: the scaled sum shares factors with L q^d
+    p = ExactPolynomial((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)))  # (x-1)(x-2)/6
+    assert p(Fraction(1, 2)) == Fraction(1, 8) and p(2) == 0 and p(-1) == 1
+    # a char_poly of a rational matrix has non-integer coefficients
+    q = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-7, 5)]]
+    poly = char_poly(q)
+    assert any(c.denominator > 1 for c in poly.coefficients)
+    for x in (0, -4, Fraction(-3, 7), Fraction(5, 2**40)):
+        _assert_exact_value(poly, x)
+        assert poly(x) == _char_poly_oracle_value(q, x)
 
 
 def test_largest_root_known_quadratic():
