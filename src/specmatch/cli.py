@@ -253,7 +253,7 @@ def _cmd_quotient(args) -> int:
         "root_bracket": [str(root.lo), str(root.hi)],
     }
     if args.json:
-        _emit_json("quotient", {"n": args.n, "s": args.s}, result)
+        _emit_json("quotient", {"n": args.n, "s": args.s, "tol": float(width)}, result)
     else:
         print(f"quotient matrix (blocks hub | {args.s}K1 | K3 | K{args.n - 2 * args.s - 3}):")
         for row in q:
@@ -307,7 +307,8 @@ def _cmd_verify(args) -> int:
         report = harness.corollary_comparison(n_hi=args.n)
 
     if args.json:
-        _emit_json("verify", {"target": target}, report.to_dict())
+        params = {"target": target, **{name: getattr(args, name) for name in options}}
+        _emit_json("verify", params, report.to_dict())
     else:
         status = "PASS" if report.passed else "FAIL"
         print(

@@ -119,18 +119,6 @@ class Graph:
             for v in _iter_bits(self.rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def add_edge(self, u: int, v: int) -> "Graph":
-        """New graph with edge uv added (u != v, both in range)."""
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ParameterError(f"invalid edge ({u},{v})")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        g = object.__new__(Graph)
-        g.n = self.n
-        g.rows = tuple(rows)
-        return g
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 

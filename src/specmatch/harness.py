@@ -24,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     ParameterError,
+    _adjacency_matrices,
     barrier_family,
     canonical_parts,
     extremal_family,
@@ -827,14 +828,33 @@ def _dominated(dist_h: np.ndarray, dist_g: np.ndarray) -> np.ndarray:
     return (dist_h <= dist_g).all(axis=(-2, -1)) & (dist_h < dist_g).any(axis=(-2, -1))
 
 
-def _check_edge_monotonicity(g: Graph, edge: list[int], dominated=None) -> dict | None:
+def _edge_stack(g: Graph, edges=None) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The edges uv, by default every pair missing from G in combinations
+    order, and the (1 + m, n, n) stack of 0/1 adjacency matrices of G and of
+    each G + uv: copies of G's own matrix with entries uv and vu set to 1."""
+    adjacency = _adjacency_matrices([g])
+    if edges is None:  # row-major, so the upper triangle is in combinations order
+        us, vs = np.nonzero(adjacency[0] == 0)
+        us, vs = us[us < vs], vs[us < vs]
+    else:
+        us, vs = np.array(edges).T
+    stack = np.repeat(adjacency, len(us) + 1, axis=0)
+    copies = np.arange(1, len(us) + 1)
+    stack[copies, us, vs] = stack[copies, vs, us] = 1
+    return list(zip(us.tolist(), vs.tolist())), stack
+
+
+def _check_edge_monotonicity(g: Graph, edge: Sequence[int], dominated=None) -> dict | None:
     """Adding the missing edge uv strictly lowers the radius: D(G + uv) <= D(G)
     entrywise with some entry lower (no path lengthens, d(u, v) drops to 1),
     and D(G) is irreducible for G connected, n >= 2, so rho drops strictly by
     Perron-Frobenius (Berman & Plemmons, 1994, ch. 2, Wielandt's theorem)."""
     u, v = edge
     if dominated is None:
-        dominated = _dominated(*_distance_matrices([g.add_edge(u, v), g]))
+        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+            raise ParameterError(f"invalid edge ({u},{v})")
+        dist_g, dist_h = _distance_matrices(_edge_stack(g, [edge])[1])
+        dominated = _dominated(dist_h, dist_g)
     if dominated:
         return None
     detail = "D(G + uv) is not entrywise at most D(G) with some entry lower"
@@ -857,7 +877,8 @@ def lemma_suites(
     """Randomized checks of the supporting inequalities.
 
     Adding an edge strictly lowers the radius, decided exactly by one
-    dominance test over the stacked BFS of G and every G + uv; G's estimate,
+    dominance test over the stacked BFS of G and every G + uv, whose adjacency
+    matrices are copies of G's with one entry pair set; G's estimate,
     its one eigensolve, stays above 2W/n; random valid hub-and-cliques graphs
     sit strictly above their canonical shape; and the two thresholds compare
     on even orders in `corollary_span`, these two exactly on quotients.
@@ -880,8 +901,8 @@ def lemma_suites(
     for _ in range(monotonicity_graphs):
         n = rng.randrange(5, 15)  # orders 5..14
         g = random_connected_graph(rng, n)
-        missing = [[u, v] for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
-        dists = _distance_matrices([g] + [g.add_edge(*uv) for uv in missing])
+        missing, stack = _edge_stack(g)
+        dists = _distance_matrices(stack)
         _record(report, _check_wiener_bound(g, _radius(dists[0])))
         for edge, dominated in zip(missing, _dominated(dists[1:], dists[0]).tolist()):
             _record(report, _check_edge_monotonicity(g, edge, dominated))
@@ -930,8 +951,9 @@ def identity_suite(
     difference across hub sizes factors through hub_gap_coefficient; twice
     its value at s=(n-6)/2 is gap_bound_cubic; the cubic at mu=n+k+3 matches
     the expanded form, is negative, and both it and the cubic's tail are
-    certified decreasing. All arithmetic is exact, in ints and Fractions: each
-    identity holds with equality and each sign is an exact comparison.
+    certified decreasing. All arithmetic is exact, in ints: at mu = p/q every
+    value is scaled by a power of q > 0, so each identity holds with equality
+    and each sign is an exact comparison.
     """
     if min(grid_span, k_top) < 0 or min(ks, default=1) < 1 or not (ks or k_top):
         got = f"ks={ks}, grid_span={grid_span}, k_top={k_top}"
@@ -947,19 +969,16 @@ def identity_suite(
     for k in ks:
         for n in range(8 * k + 6, 8 * k + 6 + grid_span + 1, 2):
             root = family_quartic_root(n, k, width=Fraction(1, 10**12))
-            mu = root.lo  # exact rational certified within 1e-12 of the radius
-            base = family_quartic(n, k)
-            # hub_gap_coefficient at every hub size s = k .. (n-6)/2
-            gaps = [hub_gap_coefficient(s, n, k, mu) for s in range(k, (n - 6) // 2 + 1)]
-            for s in range(k, min(k + 4, (n - 6) // 2 + 1)):
-                diff = family_quartic(n, s)(mu) - base(mu)
-                check("hub-gap-factorization", diff == (s - k) * gaps[s - k], n=n, k=k, s=s)
-            half_n = Fraction(n - 6, 2)
-            check(
-                "gap-cubic-equivalence",
-                2 * hub_gap_coefficient(half_n, n, k, mu) == gap_bound_cubic(mu, n, k),
-                n=n, k=k,
-            )
+            # mu = p/q = root.lo, exact and certified within 1e-12 of the radius
+            p, q = root.lo.numerator, root.lo.denominator
+            half_n = (n - 6) // 2  # n is even
+            # q^4 quartic(n, k)(mu), and q^3 the gap at each s = k .. (n-6)/2
+            base = family_quartic(n, k).numerator(p, q)
+            gaps = [hub_gap_coefficient(s, n, k, p, q) for s in range(k, half_n + 1)]
+            for s in range(k, min(k + 4, half_n + 1)):
+                diff = family_quartic(n, s).numerator(p, q) - base
+                check("hub-gap-factorization", diff == (s - k) * q * gaps[s - k], n=n, k=k, s=s)
+            check("gap-cubic-equivalence", 2 * gaps[-1] == gap_bound_cubic(p, n, k, q), n=n, k=k)
             floor = n + k + 3
             check(
                 "cubic-at-floor",
@@ -967,13 +986,10 @@ def identity_suite(
                 n=n, k=k,
             )
             check("floor-negative", gap_bound_at_radius_floor(n, k) < 0, n=n, k=k)
-            # parabola vertex beyond (n-6)/2 makes the gap increasing in s
-            vertex_num = 5 * mu * mu + (n - 2 * k + 16) * mu + 4 * n - 8 * k - 4
-            check(
-                "gap-vertex",
-                vertex_num / (2 * (2 * mu + 8)) > half_n,
-                n=n, k=k,
-            )
+            # parabola vertex beyond (n-6)/2 makes the gap increasing in s:
+            # V / (2 (2 mu + 8)) > half_n, times 2 (2 mu + 8) q^2 > 0 (mu > 0)
+            vertex_num = 5 * p * p + (n - 2 * k + 16) * p * q + (4 * n - 8 * k - 4) * q * q
+            check("gap-vertex", vertex_num > half_n * 2 * (2 * p + 8 * q) * q, n=n, k=k)
             check("gap-increasing", all(a < b for a, b in zip(gaps, gaps[1:])), n=n, k=k)
             # cubic decreasing past the floor: derivative negative there and
             # concave beyond, so negative on the whole tail

@@ -97,15 +97,18 @@ class ExactPolynomial:
         scale = math.lcm(*(c.denominator for c in self.coefficients))
         return scale, [c.numerator * (scale // c.denominator) for c in self.coefficients]
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        """Exact value at x = p/q: Horner in integers on L q^d poly(x), then one Fraction."""
-        p, q = x.numerator, x.denominator
-        scale, coefficients = self._scaled()
+    def numerator(self, p: int, q: int = 1) -> int:
+        """L q^d poly(p/q) at ints p, q by Horner in integers (L = 1 for int coefficients)."""
         acc, power = 0, 1
-        for c in coefficients:
+        for c in self._scaled()[1]:
             acc = acc * p + c * power
             power *= q
-        return Fraction(acc, scale * power // q)
+        return acc
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """Exact value at x = p/q: numerator(p, q) over L q^d, one Fraction."""
+        q = x.denominator
+        return Fraction(self.numerator(x.numerator, q), self._scaled()[0] * q**self.degree)
 
 
 def char_poly(q: Iterable[Iterable]) -> ExactPolynomial:
@@ -150,11 +153,11 @@ def family_quartic(n: int, s: int) -> ExactPolynomial:
     _check_family(n, s)
     return ExactPolynomial(
         (
-            Fraction(1),
-            Fraction(-(n + s - 5)),
-            Fraction(-((2 * s + 13) * n - 5 * s * s - 16 * s - 36)),
-            Fraction((s * s - 7 * s - 32) * n - 2 * s**3 + 16 * s * s + 62 * s + 88),
-            Fraction((4 * s * s - 2 * s - 20) * n - 8 * s**3 - 4 * s * s + 36 * s + 56),
+            1,
+            -(n + s - 5),
+            -((2 * s + 13) * n - 5 * s * s - 16 * s - 36),
+            (s * s - 7 * s - 32) * n - 2 * s**3 + 16 * s * s + 62 * s + 88,
+            (4 * s * s - 2 * s - 20) * n - 8 * s**3 - 4 * s * s + 36 * s + 56,
         )
     )
 
@@ -320,31 +323,30 @@ def _minor_certificate(rows: list[list[int]], t: Fraction) -> int | None:
 # ---------------------------------------------------------------------------
 # scalar functions behind the ordering argument
 #
-# All four are closed-form polynomials in their arguments; they stay exact on
-# int/Fraction inputs and fall back to floats transparently.
+# All are closed-form polynomials, exact on int/Fraction inputs and generic
+# over floats. The two cubics in mu also take q (default 1) and return
+# q^3 f(mu/q), homogenised: at mu = p/q a caller passes the ints p and q and
+# decides an identity or a sign in ints, as q^3 > 0. At q = 1 that is f(mu).
 
 
-def hub_gap_coefficient(s, n: int, k: int, mu):
+def hub_gap_coefficient(s, n: int, k: int, mu, q=1):
     """Quadratic-in-s factor linking the quartics of hub sizes s and k:
     quartic(n,s)(x) - quartic(n,k)(x) == (s - k) * hub_gap_coefficient(s, n, k, x).
     """
     c2 = 5 * s - 2 * n + 5 * k + 16
     c1 = (n - 2 * k + 16 - 2 * s) * s + (k - 7) * n - 2 * k * k + 16 * k + 62
     c0 = (4 * n - 8 * k - 4 - 8 * s) * s + (4 * k - 2) * n - 8 * k * k - 4 * k + 36
-    return ((c2 - mu) * mu + c1) * mu + c0
+    return ((c2 * q - mu) * mu + c1 * q * q) * mu + c0 * q**3
 
 
-def gap_bound_cubic(mu, n: int, k: int):
+def gap_bound_cubic(mu, n: int, k: int, q=1):
     """Cubic in mu equal to twice the hub gap coefficient at the extreme hub
     size s = (n-6)/2; negative values force the strict spectral ordering."""
     return (
         -2 * mu**3
-        + (n + 10 * k + 2) * mu * mu
-        + (8 * n - 4 * k * k + 44 * k - 8) * mu
-        + 16 * n
-        - 16 * k * k
-        + 40 * k
-        - 48
+        + (n + 10 * k + 2) * mu * mu * q
+        + (8 * n - 4 * k * k + 44 * k - 8) * mu * q * q
+        + (16 * n - 16 * k * k + 40 * k - 48) * q**3
     )
 
 

@@ -4,8 +4,8 @@ The spectral radius of the (nonnegative, irreducible) distance matrix is
 bracketed by Collatz-Wielandt ratios: for any positive vector x,
 min_v (Dx)_v / x_v <= mu <= max_v (Dx)_v / x_v. Power iteration started at
 the LAPACK Perron vector tightens the bracket, usually in one step, so every
-estimate carries a rigorous enclosure rather than a bare float. The distances
-of graphs of one order come from one stacked BFS, since at small n numpy's
+estimate carries a rigorous enclosure rather than a bare float. The BFS runs
+on a stack of 0/1 adjacency matrices of one order, since at small n numpy's
 per-call overhead outweighs the arithmetic.
 """
 
@@ -39,14 +39,15 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _distance_matrices(graphs: list[Graph]) -> np.ndarray:
-    """Float (m, n, n) distances of m graphs of one order n, by a BFS over all
-    sources at once: the radius-d balls grow by one stacked matrix product per
-    radius, B_{d+1} = min(B_d (A + I), 1). Once every B_D is full, d(u, v) is
-    the number of radii d < D whose ball around u misses v."""
-    n = graphs[0].n
+def _distance_matrices(adjacency: np.ndarray) -> np.ndarray:
+    """Float (m, n, n) distances from a stack of m 0/1 adjacency matrices A of
+    one order n, by a BFS over all sources at once: the radius-d balls grow by
+    one stacked matrix product per radius, B_{d+1} = min(B_d (A + I), 1). Once
+    every B_D is full, d(u, v) is the number of radii d < D whose ball around u
+    misses v."""
+    n = adjacency.shape[-1]
     eye = np.eye(n)
-    ball = closed = _adjacency_matrices(graphs) + eye  # B_1
+    ball = closed = adjacency + eye  # B_1
     reached = np.zeros(closed.shape)
     reached += eye  # B_0
     for radius in range(1, n + 1):
@@ -61,7 +62,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest path distances as an int matrix (see _distance_matrices)."""
     if g.n < 1:
         raise ParameterError("distance matrix needs at least one vertex")
-    return _distance_matrices([g])[0].astype(np.int64)
+    return _distance_matrices(_adjacency_matrices([g]))[0].astype(np.int64)
 
 
 def wiener_index(g: Graph) -> int:
@@ -101,7 +102,7 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
         raise ParameterError(f"distance spectral radius needs order n >= 2, got order {g.n}")
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
-    return _radius(_distance_matrices([g])[0], tol)
+    return _radius(_distance_matrices(_adjacency_matrices([g]))[0], tol)
 
 
 def _radius(dist: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralEstimate:

@@ -233,6 +233,26 @@ def test_quotient_json(capsys):
     assert abs(result["largest_root"] - 19.063334136) < 1e-8
 
 
+def test_json_params_record_every_resolved_option(capsys):
+    # a --json run can be repeated from its envelope alone: each option the
+    # target reads, given or defaulted, and the root width of quotient
+    argv = ("verify", "probe13", "--n", "14", "--k", "1", "--trials", "3", "--seed", "7", "--json")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["params"] == {
+        "target": "probe13", "n": 14, "k": 1, "trials": 3, "seed": 7, "exploratory": False,
+    }
+    argv = ("verify", "theorem11", "--n", "8", "--chunk", "3/64", "--json")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["params"] == {"target": "theorem11", "n": 8, "chunk": "3/64", "threads": 1}
+    code, payload, _ = run_json(capsys, "verify", "lemmas", "--seed", "2", "--json")
+    assert payload["params"] == {"target": "lemmas", "seed": 2}
+    code, payload, _ = run_json(capsys, "quotient", "--n", "14", "--s", "1", "--json")
+    assert payload["params"] == {"n": 14, "s": 1, "tol": 1e-10}
+    argv = ("quotient", "--n", "14", "--s", "1", "--tol", "1e-6", "--json")
+    assert run_json(capsys, *argv)[1]["params"]["tol"] == 1e-6
+
+
 def test_quotient_human_output(capsys):
     code, out, _ = run(capsys, "quotient", "--n", "22", "--s", "2")
     assert code == 0
@@ -427,8 +447,10 @@ def test_verify_theorem11_threads_on_an_empty_chunk(capsys):
     code, single, _ = run_json(capsys, *argv)
     code2, threaded, err = run_json(capsys, *argv, "--threads", "2")
     assert code == code2 == 0 and "Traceback" not in err
+    assert (single["params"]["threads"], threaded["params"]["threads"]) == (1, 2)
     for payload in (single, threaded):
         payload["result"].pop("seconds")
+        payload["params"].pop("threads")
     assert threaded == single and single["result"]["extras"]["masks_scanned"] == 0
 
 

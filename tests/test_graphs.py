@@ -116,13 +116,14 @@ def test_from_rows_names_the_first_asymmetric_pair():
         Graph.from_rows([-1, 0])
 
 
-def test_add_edge_returns_new_graph():
+def test_graph_equality_and_hash_follow_the_rows():
     g = Graph(3, [(0, 1)])
-    h = g.add_edge(1, 2)
+    h = Graph(3, [*g.edges(), (1, 2)])
     assert h.edge_count() == 2
     assert g.edge_count() == 1
     assert g != h
-    assert hash(g.add_edge(1, 2)) == hash(h)
+    assert Graph(3, [(2, 1), (1, 0)]) == h and hash(Graph(3, [(2, 1), (1, 0)])) == hash(h)
+    assert Graph.from_rows(h.rows) == h
 
 
 def test_complete_and_empty():

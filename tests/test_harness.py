@@ -49,6 +49,7 @@ from specmatch import (
     write_graph6,
 )
 import specmatch.harness as harness
+from specmatch.graphs import _adjacency_matrices
 from specmatch.harness import CHECKS, SuiteReport, check_probe_sample
 from specmatch.quotient import CertifiedRoot, family_quartic_root, largest_root
 
@@ -752,6 +753,11 @@ def test_replay_rejects_malformed_records():
     data = {"n": 11, "s": 1, "parts": [1, 1, 1, 1, 1, 5]}
     with pytest.raises(ParameterError):
         replay_violation({"check": "family-ordering", "witness": "Cs", "data": data})
+    # an edge record names two distinct vertices of its witness
+    for edge in ([2, 2], [0, 4], [-1, 2]):
+        record = {"check": "edge-monotonicity", "witness": "Cs", "data": {"edge": edge}}
+        with pytest.raises(ParameterError, match="invalid edge"):
+            replay_violation(record)
 
 
 def test_replayers_return_false_on_healthy_witnesses():
@@ -977,7 +983,7 @@ def test_edge_monotonicity_agrees_with_the_eigensolver():
         est_g = distance_spectral_radius(g)
         for edge in missing:
             assert harness._check_edge_monotonicity(g, edge) is None
-            est_h = distance_spectral_radius(g.add_edge(*edge))
+            est_h = distance_spectral_radius(Graph(n, [*g.edges(), edge]))
             assert est_g.lo > est_h.hi, (write_graph6(g), edge)
         pairs += len(missing)
     assert pairs > 1000
@@ -987,7 +993,9 @@ def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
     stacks, solves = [], []
     distances, radius = harness._distance_matrices, harness._radius
     monkeypatch.setattr(
-        harness, "_distance_matrices", lambda graphs: stacks.append(len(graphs)) or distances(graphs)
+        harness,
+        "_distance_matrices",
+        lambda adjacency: stacks.append(len(adjacency)) or distances(adjacency),
     )
     monkeypatch.setattr(harness, "_radius", lambda dist: solves.append(dist.shape) or radius(dist))
 
@@ -1016,6 +1024,36 @@ def test_lemma_suites_decide_each_stack_with_one_dominance_test(monkeypatch):
     assert sum(shape[0] for shape in tests) == report.extras["edge_checks"]
 
 
+def _graph(adjacency):
+    """The graph of a 0/1 adjacency matrix."""
+    n = len(adjacency)
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if adjacency[u, v]])
+
+
+def test_edge_stack_equals_the_stack_of_graphs():
+    # copies of G's matrix with uv and vu set are, bit for bit, the matrices
+    # of G + uv built as graphs, for every missing pair in combinations order;
+    # the pair that replay builds is the same two slices
+    rng = random.Random(24)
+    graphs = [complete_graph(n) for n in (2, 5, 14)]
+    graphs += [Graph(n, [(v, v + 1) for v in range(n - 1)]) for n in (2, 7, 14)]
+    for n in range(2, 15):
+        for _ in range(6):
+            p = rng.random()
+            pairs = itertools.combinations(range(n), 2)
+            graphs.append(Graph(n, [uv for uv in pairs if rng.random() < p]))
+    for g in graphs:
+        missing = [uv for uv in itertools.combinations(range(g.n), 2) if not g.has_edge(*uv)]
+        reference = _adjacency_matrices([g] + [Graph(g.n, [*g.edges(), uv]) for uv in missing])
+        edges, stack = harness._edge_stack(g)
+        assert edges == missing
+        assert stack.dtype == reference.dtype and stack.shape == reference.shape
+        assert stack.tobytes() == np.ascontiguousarray(reference).tobytes()
+        for i, edge in enumerate(missing):
+            pair_edges, pair = harness._edge_stack(g, [edge])
+            assert pair_edges == [edge] and pair.tobytes() == stack[[0, i + 1]].tobytes()
+
+
 def test_doctored_stack_records_exactly_that_edge(monkeypatch):
     # the first stack's last slice, G + uv for G's last missing edge, is set
     # to D(G): D(G + uv) == D(G) is not dominated, so only that edge fails
@@ -1024,11 +1062,12 @@ def test_doctored_stack_records_exactly_that_edge(monkeypatch):
     distances = harness._distance_matrices
     doctored = []
 
-    def doctor(graphs):
-        dists = distances(graphs)
+    def doctor(adjacency):
+        dists = distances(adjacency)
         if not doctored:
-            doctored.extend((graphs[0], graphs[-1]))
+            doctored.extend(_graph(a) for a in (adjacency[0], adjacency[-1]))
         g, h = doctored
+        graphs = [_graph(a) for a in adjacency]
         if g in graphs and h in graphs:
             dists[graphs.index(h)] = dists[graphs.index(g)]
         return dists
@@ -1040,7 +1079,7 @@ def test_doctored_stack_records_exactly_that_edge(monkeypatch):
     assert violation["check"] == "edge-monotonicity"
     assert violation["witness"] == write_graph6(g)
     u, v = violation["data"]["edge"]
-    assert not g.has_edge(u, v) and g.add_edge(u, v) == h
+    assert not g.has_edge(u, v) and Graph(g.n, [*g.edges(), (u, v)]) == h
     assert report.cases == clean.cases
     assert report.extras["edge_checks"] == clean.extras["edge_checks"]
     # the record replays through the same predicate: it fails on the doctored
@@ -1048,6 +1087,23 @@ def test_doctored_stack_records_exactly_that_edge(monkeypatch):
     assert replay_violation(violation) is True
     monkeypatch.undo()
     assert replay_violation(violation) is False
+
+
+def test_identity_suite_records_exactly_a_wrong_hub_gap(monkeypatch):
+    # hub_gap_coefficient off by one (in q^3 units) at one (s, n, k): the
+    # integer checks have no rounding to hide it, and no other case moves
+    clean = identity_suite()
+    gap = harness.hub_gap_coefficient
+    monkeypatch.setattr(
+        harness,
+        "hub_gap_coefficient",
+        lambda s, n, k, mu, q=1: gap(s, n, k, mu, q) + ((s, n, k) == (3, 22, 2)),
+    )
+    report = identity_suite()
+    assert report.cases == clean.cases and clean.passed
+    [violation] = report.violations
+    assert violation["check"] == "hub-gap-factorization"
+    assert violation["data"] == {"n": 22, "k": 2, "s": 3}
 
 
 def test_lemma_suites_deterministic():

@@ -284,7 +284,7 @@ def test_cover_matching_equals_plain_kuhn():
 def test_witness_rejects_wrong_graph():
     c5 = _cycle(5)
     witness = fractional_pm_witness(c5)
-    assert not witness.holds_for(_cycle(4).add_edge(0, 2).add_edge(1, 3))
+    assert not witness.holds_for(complete_graph(4))  # C4 and both chords
     bad = FractionalWitness((((0, 1), Fraction(2)),))
     assert not bad.holds_for(complete_graph(2))
 

@@ -363,6 +363,33 @@ def test_hub_gap_factorization_exact():
         assert lhs == (s - k) * hub_gap_coefficient(s, n, k, x)
 
 
+def test_homogeneous_forms_equal_the_fraction_forms():
+    # at ints p and q > 0 each form is q^d f(p/q) exactly, f's value at the
+    # Fraction p/q scaled: negative p, q = 1 (f(p) itself) and 60-bit q
+    rng = random.Random(24)
+    halving = char_poly([[0, Fraction(1, 2)], [Fraction(1, 3), 5]])  # lcm L = 6
+    for i in range(300):
+        k = rng.randrange(1, 6)
+        s = k + rng.randrange(0, 5)
+        n = 2 * s + 6 + 2 * rng.randrange(0, 12)
+        p = rng.randrange(-(2**62), 2**62)
+        q = (1, rng.randrange(1, 2**60), rng.randrange(1, 50))[i % 3]
+        mu = Fraction(p, q)
+        assert hub_gap_coefficient(s, n, k, p, q) == q**3 * hub_gap_coefficient(s, n, k, mu)
+        assert gap_bound_cubic(p, n, k, q) == q**3 * gap_bound_cubic(mu, n, k)
+        assert family_quartic(n, s).numerator(p, q) == q**4 * family_quartic(n, s)(mu)
+        assert halving.numerator(p, q) == 6 * q**2 * halving(mu)
+        if q == 1:
+            assert hub_gap_coefficient(s, n, k, p, 1) == hub_gap_coefficient(s, n, k, p)
+            assert family_quartic(n, s).numerator(p) == family_quartic(n, s)(p)
+        # the default q = 1 stays generic over floats
+        x = float(rng.randrange(-400, 400)) / 8
+        exact = hub_gap_coefficient(s, n, k, Fraction(x))
+        assert math.isclose(hub_gap_coefficient(s, n, k, x), exact, rel_tol=1e-12, abs_tol=1e-6)
+        exact = gap_bound_cubic(Fraction(x), n, k)
+        assert math.isclose(gap_bound_cubic(x, n, k), exact, rel_tol=1e-12, abs_tol=1e-6)
+
+
 def test_gap_bound_cubic_is_doubled_extreme_hub():
     rng = random.Random(18)
     for _ in range(50):

@@ -26,6 +26,7 @@ from specmatch import (
     join,
     wiener_index,
 )
+from specmatch.graphs import _adjacency_matrices
 from specmatch.quotient import family_quartic_root
 
 
@@ -205,7 +206,7 @@ def _reference_fields(g, tol):
 
 def _stacked_radii(graphs, tol):
     """Each graph's estimate from its slice of one stacked BFS, as lemma_suites solves G."""
-    dists = specmatch.spectra._distance_matrices(graphs)
+    dists = specmatch.spectra._distance_matrices(_adjacency_matrices(graphs))
     return [specmatch.spectra._radius(dist, tol) for dist in dists]
 
 
