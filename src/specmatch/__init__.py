@@ -59,7 +59,6 @@ from .spectra import (
     wiener_index,
 )
 from .quotient import (
-    BracketError,
     CertifiedRoot,
     ExactPolynomial,
     char_poly,
@@ -70,7 +69,6 @@ from .quotient import (
     gap_bound_cubic_deriv,
     gap_bound_floor_deriv,
     hub_gap_coefficient,
-    largest_root,
     quotient_matrix,
 )
 from .harness import (

@@ -39,7 +39,6 @@ from .matching import (
 )
 from .quotient import (
     DEFAULT_ROOT_WIDTH,
-    BracketError,
     char_poly,
     family_quartic,
     family_quartic_root,
@@ -435,7 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         ParameterError,
         Graph6Error,
         CapacityError,
-        BracketError,
         DisconnectedError,
         ConvergenceError,
         OSError,

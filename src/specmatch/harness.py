@@ -142,12 +142,11 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 # threshold references
 
 
-@functools.cache
 def threshold_reference(n: int) -> CertifiedRoot:
     """Exact radius bracket of the minimum-radius connected graph of even order
     n without a perfect matching, K_{n/2-1} v (n/2+1)K_1 for n <= 8 and
-    K_1 v (K_{n-3} u 2K_1) for n >= 10: isolated once per order from its
-    saturated quotient, so no graph is built at any n."""
+    K_1 v (K_{n-3} u 2K_1) for n >= 10: its saturated spec's root, isolated
+    once per order by _saturated_root, so no graph is built at any n."""
     if n < 4 or n % 2:
         raise ParameterError(f"even order >= 4 required, got {n}")
     return _saturated_root(*_reference_parts(n))

@@ -1,12 +1,12 @@
-"""Exact quotient-matrix algebra over the rationals.
+"""Exact quotient-matrix algebra in integers.
 
 An equitable partition of a symmetric integer matrix yields a small quotient
 whose spectrum embeds in the full one; in particular the Perron value of the
 distance matrix equals the largest eigenvalue of the quotient. Everything
-here is exact: Fraction entries, Faddeev-LeVerrier characteristic
+here is exact: integer entries, Faddeev-LeVerrier characteristic
 polynomials, and bisection with rational endpoints whose root brackets are
-proved by Descartes' rule of signs and the intermediate value theorem, so
-downstream comparisons against float estimates inherit hard guarantees.
+proved by the leading principal minors of tI - Q, so downstream comparisons
+against float estimates inherit hard guarantees.
 
 A saturated spec (s, parts), the graph K_s v (K_{n1} u ... u K_{nq}), needs
 no graph: its quotient, its root and its order against a rational t (by the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +26,6 @@ from typing import Iterable, Sequence
 from .graphs import ParameterError, canonical_parts
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**10)
-
-
-class BracketError(ValueError):
-    """Bracket does not isolate the largest root (wrong signs or a root above)."""
 
 
 def _as_blocks(partition: Sequence[Sequence[int]], n: int) -> list[list[int]]:
@@ -55,9 +50,9 @@ def _as_blocks(partition: Sequence[Sequence[int]], n: int) -> list[list[int]]:
 
 def quotient_matrix(
     matrix: Sequence[Sequence[int]], partition: Sequence[Sequence[int]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the block quotient of an equitable partition, exact Fractions:
-    entry (i,j) is the common row sum from block i into block j.
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of the block quotient of an equitable partition, in ints: entry
+    (i,j) is the common row sum from block i into block j.
 
     Raises ParameterError when the partition is not equitable for the matrix,
     since the quotient only carries spectral information in that case.
@@ -71,19 +66,27 @@ def quotient_matrix(
             sums = {sum(int(matrix[v][u]) for u in other) for v in cells}
             if len(sums) > 1:
                 raise ParameterError("partition is not equitable for this matrix")
-            row.append(Fraction(sums.pop()))
+            row.append(sums.pop())
         rows.append(tuple(row))
     return tuple(rows)
 
 
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as Python ints (numpy ints too); ParameterError for any other."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ParameterError(f"{what} must be integers") from None
+
+
 @dataclass(frozen=True)
 class ExactPolynomial:
-    """Univariate polynomial with exact coefficients, highest degree first."""
+    """Univariate polynomial with integer coefficients, highest degree first."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = _as_ints(self.coefficients, "polynomial coefficients")
         if not coeffs:
             raise ParameterError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
@@ -92,42 +95,33 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def _scaled(self) -> tuple[int, list[int]]:
-        """The lcm L of the coefficients' denominators, and L times each coefficient."""
-        scale = math.lcm(*(c.denominator for c in self.coefficients))
-        return scale, [c.numerator * (scale // c.denominator) for c in self.coefficients]
-
     def numerator(self, p: int, q: int = 1) -> int:
-        """L q^d poly(p/q) at ints p, q by Horner in integers (L = 1 for int coefficients)."""
+        """q^d poly(p/q) at ints p, q by Horner in integers."""
         acc, power = 0, 1
-        for c in self._scaled()[1]:
+        for c in self.coefficients:
             acc = acc * p + c * power
             power *= q
         return acc
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        """Exact value at x = p/q: numerator(p, q) over L q^d, one Fraction."""
+        """Exact value at x = p/q: numerator(p, q) over q^d, one Fraction."""
         q = x.denominator
-        return Fraction(self.numerator(x.numerator, q), self._scaled()[0] * q**self.degree)
+        return Fraction(self.numerator(x.numerator, q), q**self.degree)
 
 
 def char_poly(q: Iterable[Iterable]) -> ExactPolynomial:
-    """Monic det(xI - Q) by Faddeev-LeVerrier on the integer matrix A = dQ, d
-    the lcm of Q's denominators: each c_k of det(xI - A) divides exactly, and
-    det(xI - Q) has the coefficients c_k / d^k."""
-    entries = tuple(tuple(Fraction(v) for v in row) for row in q)
-    t = len(entries)
-    for row in entries:
-        if len(row) != t:
-            raise ParameterError("matrix must be square")
-    d = math.lcm(*(v.denominator for row in entries for v in row))
-    a = [[v.numerator * (d // v.denominator) for v in row] for row in entries]
-    coeffs = [Fraction(1)]
-    # M_0 = I; M_k = A M_{k-1} + c_k I, c_k = -tr(A M_{k-1})/k
+    """Monic det(xI - Q) of a square integer matrix by Faddeev-LeVerrier: each
+    c_k = -tr(Q M_{k-1})/k divides exactly."""
+    a = [list(_as_ints(row, "matrix entries")) for row in q]
+    t = len(a)
+    if any(len(row) != t for row in a):
+        raise ParameterError("matrix must be square")
+    coeffs = [1]
+    # M_0 = I; M_k = Q M_{k-1} + c_k I, c_k = -tr(Q M_{k-1})/k
     am = [row[:] for row in a]
     for k in range(1, t + 1):
         c = -sum(am[i][i] for i in range(t)) // k
-        coeffs.append(Fraction(c, d**k))
+        coeffs.append(c)
         for i in range(t):
             am[i][i] += c
         cols = list(zip(*am))
@@ -175,82 +169,9 @@ class CertifiedRoot:
         return self.hi - self.lo
 
 
-def _shifted_signs(coefficients: Sequence[int], u: int, v: int) -> tuple[int, int]:
-    """Sign changes in the coefficients of p(x + a), and the sign of p(a), for
-    p with integer `coefficients`, highest degree first, and a = u/v, v > 0.
-
-    With y = v x, v^d p(x + a) is sum_i c_i v^i (y + u)^(d-i): its
-    coefficients are positive multiples of those of p(x + a), so the Taylor
-    shift by u (repeated synthetic division) runs in integers.
-    """
-    c = [ci * v**i for i, ci in enumerate(coefficients)]
-    d = len(c) - 1
-    for i in range(d):
-        for j in range(1, d + 1 - i):
-            c[j] += u * c[j - 1]
-    signs = [ci > 0 for ci in c if ci]
-    return sum(s != t for s, t in zip(signs, signs[1:])), (c[d] > 0) - (c[d] < 0)
-
-
-def largest_root(
-    poly: ExactPolynomial,
-    lo: Fraction | int,
-    hi: Fraction | int,
-    width: Fraction = DEFAULT_ROOT_WIDTH,
-) -> CertifiedRoot:
-    """Isolate the largest root of `poly` in [lo, hi] by exact bisection.
-
-    Bisection moves `hi` down to every midpoint m where p(x + m) has no sign
-    change in its coefficients, and `lo` up to every other midpoint. The
-    returned bracket is a proof:
-    - no root exceeds hi: p(x + hi) has no sign change, so by Descartes' rule
-      of signs it has no positive root;
-    - a root lies in [lo, hi]: p(lo) and p(hi) are not of one strict sign, so
-      by the intermediate value theorem p vanishes in between.
-    BracketError when either half fails: a root above hi, no root in the
-    bracket, or no sign change around the largest root (even multiplicity,
-    or two roots closer together than `width`).
-    """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ParameterError(f"empty bracket [{lo}, {hi}]")
-    if width <= 0:
-        raise ParameterError(f"root width must be positive, got {width}")
-    if poly.degree < 1:
-        raise ParameterError("constant polynomial has no roots")
-    coefficients = poly._scaled()[1]
-    changes, sign = _shifted_signs(coefficients, hi.numerator, hi.denominator)
-    if changes:
-        raise BracketError(f"Descartes' rule allows a root above {hi}")
-    # the bracket is [a/v, b/v] in integers; each halving doubles v
-    v = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (v // lo.denominator), hi.numerator * (v // hi.denominator)
-    if sign == 0:
-        a = b
-    width = Fraction(width)
-    while (b - a) * width.denominator > width.numerator * v:
-        mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
-        changes, sign = _shifted_signs(coefficients, mid, v)
-        if changes:
-            a = mid
-        elif sign == 0:
-            a = b = mid
-        else:
-            b = mid
-    lo, hi = Fraction(a, v), Fraction(b, v)
-    if poly(lo) * poly.coefficients[0] > 0:
-        raise BracketError("no sign change inside the bracket")
-    return CertifiedRoot(value=float((lo + hi) / 2), lo=lo, hi=hi)
-
-
 def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) -> CertifiedRoot:
     """Largest root of family_quartic(n, s), isolated as the saturated spec
-    (s, (1^s, 3, n-2s-3)) over [2W/n, max transmission].
-
-    Each (n, s, width) root is isolated once per process; the frozen
-    CertifiedRoot is shared between callers.
-    """
+    (s, (1^s, 3, n-2s-3)) over [2W/n, max transmission], once per process."""
     _check_family(n, s)
     return _saturated_root(s, canonical_parts(n, s), width)
 
@@ -293,20 +214,37 @@ def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) ->
 def _isolate_saturated_root(s: int, parts: tuple[int, ...], width) -> CertifiedRoot:
     if s < 1 or min(parts) < 1:
         raise ParameterError(f"need hub size s >= 1 and parts >= 1, got s={s}, parts={parts}")
+    if width <= 0:
+        raise ParameterError(f"root width must be positive, got {width}")
     rows = _saturated_quotient(s, parts)
     sizes = [s] + rows[0][1:]  # the hub is at distance 1 from every other cell
     sums = [sum(row) for row in rows]
-    lo = Fraction(sum(size * t for size, t in zip(sizes, sums)), sum(sizes))
-    return largest_root(char_poly(rows), lo, max(sums), width)
+    # the bracket is [a/v, b/v] in integers; each halving doubles v
+    v = sum(sizes)
+    a, b = sum(size * t for size, t in zip(sizes, sums)), max(sums) * v
+    width = Fraction(width)
+    while (b - a) * width.denominator > width.numerator * v:
+        mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
+        if _minor_certificate(rows, Fraction(mid, v)) is None:
+            b = mid  # rho <= mid
+        else:
+            a = mid  # rho > mid
+    lo, hi = Fraction(a, v), Fraction(b, v)
+    return CertifiedRoot(value=float((lo + hi) / 2), lo=lo, hi=hi)
 
 
 def _minor_certificate(rows: list[list[int]], t: Fraction) -> int | None:
     """Order of the first leading principal minor of uI - vQ (t = u/v) that
-    proves rho(Q) > t by being <= 0 (or < 0 for the determinant), else None:
-    for Q nonnegative, irreducible and similar to a symmetric matrix, all
-    positive makes uI - vQ a nonsingular M-matrix (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6). The
-    minors are the pivots of fraction-free Bareiss elimination in ints."""
+    proves rho(Q) > t by being <= 0 (or < 0 for the determinant), else None,
+    which proves rho(Q) <= t: the one exact order test on quotients, behind
+    _isolate_saturated_root's bisection and every ordering in harness.
+    Q is similar to a symmetric matrix through diag(sqrt(cell sizes)), which
+    keeps every leading principal minor. By Sylvester's criterion all are
+    positive iff t > rho(Q); the proper ones positive and the determinant 0
+    give t = rho(Q) by interlacing, and hold there as the Perron vector is
+    positive (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, 1994, ch. 6). The minors are the pivots of fraction-free
+    Bareiss elimination in ints."""
     u, v, size, prev = t.numerator, t.denominator, len(rows), 1
     a = [[u * (i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(rows)]
     for k in range(size):

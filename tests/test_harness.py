@@ -51,7 +51,7 @@ from specmatch import (
 import specmatch.harness as harness
 from specmatch.graphs import _adjacency_matrices
 from specmatch.harness import CHECKS, SuiteReport, check_probe_sample
-from specmatch.quotient import CertifiedRoot, family_quartic_root, largest_root
+from specmatch.quotient import CertifiedRoot, family_quartic_root
 
 
 def test_threshold_reference_closed_forms():
@@ -67,17 +67,14 @@ def test_threshold_reference_closed_forms():
     assert root10.value > 2 + math.sqrt(7)
 
 
-def test_threshold_root_is_isolated_once_per_order(monkeypatch):
+def test_threshold_root_is_isolated_once_per_order():
     import specmatch.quotient as quotient
 
     pm_threshold_scan(8, chunk=(3, 4096))
-    calls = []
-    monkeypatch.setattr(
-        quotient, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
-    )
+    misses = quotient._isolate_saturated_root.cache_info().misses
     again = pm_threshold_scan(8, chunk=(5, 4096))
-    assert calls == []
     root = threshold_reference(8)
+    assert quotient._isolate_saturated_root.cache_info().misses == misses
     assert again.extras["reference_mu"] == [float(root.lo), float(root.hi)]
 
 
@@ -103,20 +100,30 @@ def _reference_graph(n):
 
 
 def test_threshold_reference_is_the_graph_route_root():
-    # the graph-free root equals the root of the threshold graph's distance
-    # quotient over [2W/n, max transmission], bracket for bracket
+    # the graph-free root brackets the root of the threshold graph's distance
+    # quotient inside [2W/n, max transmission], and the graph's eigensolve
     for n in range(4, 65, 2):
         g, cells = _reference_graph(n)
         assert not has_perfect_matching(g) and is_connected(g)
         dist = distance_matrix(g)
         poly = char_poly(quotient_matrix(dist.tolist(), cells))
-        lo, hi = Fraction(int(dist.sum()), n), Fraction(int(dist.sum(axis=1).max()))
-        expected, root = largest_root(poly, lo, hi), threshold_reference(n)
-        assert (root.lo, root.hi, root.value) == (expected.lo, expected.hi, expected.value)
+        root = threshold_reference(n)
+        assert Fraction(int(dist.sum()), n) <= root.lo < root.hi <= int(dist.sum(axis=1).max())
+        assert poly(root.lo) <= 0 < poly(root.hi) or poly(root.hi) == 0, n
+        assert root.lo - 1e-9 <= np.linalg.eigvalsh(dist).max() <= root.hi + 1e-9, n
         if n >= 10:
             ref = parse_graph6(harness._scan_constants(n)[0])
             assert matches_clique_join(ref, *harness._reference_parts(n))
             assert not has_perfect_matching(ref)
+    # the brackets the graph quotient's Descartes bisection isolated, to the bit
+    assert (threshold_reference(8).lo, threshold_reference(8).hi) == (
+        Fraction(170063172617, 17179869184),
+        Fraction(340126345237, 34359738368),
+    )
+    assert (threshold_reference(64).lo, threshold_reference(64).hi) == (
+        Fraction(2405123207203187, 35184372088832),
+        Fraction(300640400900631, 4398046511104),
+    )
     # the layout of the labeled scan's reference is unchanged
     for n, g6 in ((4, "Cs"), (6, "E}r?"), (8, "G~zfF?")):
         assert harness._scan_constants(n)[0] == g6 == write_graph6(_reference_graph(n)[0])
@@ -1152,16 +1159,13 @@ def test_identity_suite_exact_counts():
     assert report.cases == 3 * 10 + 2 * 5
 
 
-def test_identity_suite_isolates_each_root_once(monkeypatch):
+def test_identity_suite_isolates_each_root_once():
     import specmatch.quotient as quotient
 
     first = identity_suite().to_dict(include_timing=False)
-    calls = []
-    monkeypatch.setattr(
-        quotient, "largest_root", lambda *a, **kw: calls.append(a) or largest_root(*a, **kw)
-    )
+    misses = quotient._isolate_saturated_root.cache_info().misses
     assert identity_suite().to_dict(include_timing=False) == first
-    assert calls == []
+    assert quotient._isolate_saturated_root.cache_info().misses == misses
 
 
 def test_enumerate_counts():

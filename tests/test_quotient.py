@@ -4,15 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specmatch import (
-    BracketError,
     ExactPolynomial,
     ParameterError,
     char_poly,
     complete_graph,
+    disjoint_union,
     distance_matrix,
+    empty_graph,
     extremal_family,
     extremal_partition,
     family_quartic,
@@ -22,11 +24,18 @@ from specmatch import (
     gap_bound_cubic_deriv,
     gap_bound_floor_deriv,
     hub_gap_coefficient,
-    largest_root,
+    join,
     quotient_matrix,
     wiener_index,
 )
-from specmatch.quotient import DEFAULT_ROOT_WIDTH, _saturated_quotient, _saturated_root
+from specmatch.graphs import canonical_parts
+from specmatch.harness import _reference_parts
+from specmatch.quotient import (
+    DEFAULT_ROOT_WIDTH,
+    _minor_certificate,
+    _saturated_quotient,
+    _saturated_root,
+)
 
 
 def _det(matrix):
@@ -83,9 +92,9 @@ def test_partition_validation():
 def test_quotient_rows_for_reference_family():
     dist = distance_matrix(extremal_family(14, 1)).tolist()
     q = quotient_matrix(dist, extremal_partition(14, 1))
-    assert len(q) == 4 and all(type(x) is Fraction for row in q for x in row)
-    expected = [[0, 1, 3, 9], [1, 0, 6, 18], [1, 2, 2, 18], [1, 2, 6, 8]]
-    assert [[int(v) for v in row] for row in q] == expected
+    assert len(q) == 4 and all(type(x) is int for row in q for x in row)
+    expected = ((0, 1, 3, 9), (1, 0, 6, 18), (1, 2, 2, 18), (1, 2, 6, 8))
+    assert q == expected
     # block row sums are the transmissions of the block representatives
     assert [sum(row) for row in q] == [13, 25, 23, 17]
 
@@ -106,25 +115,27 @@ def test_char_poly_against_determinant_oracle():
 
 
 def test_char_poly_random_matrices():
-    # integer entries, then rational ones: the integer recurrence on dQ has
-    # to come back to det(xI - Q) through the scale d = lcm of denominators
     rng = random.Random(13)
-    for trial in range(75):
+    for _ in range(25):
         t = rng.randrange(1, 6)
-        if trial < 25:
-            entries = [[rng.randrange(-5, 6) for _ in range(t)] for _ in range(t)]
-        else:
-            entries = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(t)] for _ in range(t)]
+        entries = [[rng.randrange(-5, 6) for _ in range(t)] for _ in range(t)]
         poly = char_poly(entries)
         assert poly.degree == t
         assert poly.coefficients[0] == 1
+        assert all(type(c) is int for c in poly.coefficients)
         for x in (-2, 0, 3, Fraction(1, 2)):
             assert poly(x) == _char_poly_oracle_value(entries, x)
+        # numpy ints are integers too
+        assert char_poly(np.array(entries, dtype=np.int64)) == poly
 
 
 def test_char_poly_rejects_non_square():
     with pytest.raises(ParameterError):
         char_poly([[1, 2, 3], [4, 5, 6]])
+    # entries must be integers: no Fraction, float or float array
+    for entries in ([[0, Fraction(1, 2)], [1, 5]], [[1.0]], np.eye(2)):
+        with pytest.raises(ParameterError, match="must be integers"):
+            char_poly(entries)
 
 
 def test_quotient_char_poly_matches_closed_form():
@@ -148,8 +159,12 @@ def test_exact_polynomial_basics():
     assert p(1) == 0 and p(2) == 0 and p(3) == 2
     assert p(Fraction(1, 2)) == Fraction(3, 4)
     assert p.coefficients == (1, -3, 2)
+    assert ExactPolynomial(tuple(np.array([1, -3, 2]))) == p
     with pytest.raises(ParameterError):
         ExactPolynomial(())
+    for coefficients in ((1, Fraction(1, 2)), (1.0, 2), (Fraction(3),)):
+        with pytest.raises(ParameterError, match="must be integers"):
+            ExactPolynomial(coefficients)
 
 
 def _naive_horner(p, x):
@@ -172,118 +187,22 @@ def test_exact_polynomial_evaluates_in_lowest_terms():
     for _ in range(60):
         degree = rng.randrange(0, 7)
         coefficients = [
-            Fraction(rng.randrange(-99, 100), rng.choice((1, 2, 6, 35, 2**40 + 15)))
-            for _ in range(degree + 1)
+            rng.randrange(-99, 100) * rng.choice((1, 2, 6, 35, 2**40 + 15)) for _ in range(degree + 1)
         ]
         p = ExactPolynomial(tuple(coefficients))
         x = Fraction(rng.randrange(-(2**41), 2**41), rng.randrange(1, 2**40))
         for point in points + [x, -x]:
             _assert_exact_value(p, point)
-    # a value that must cancel: the scaled sum shares factors with L q^d
-    p = ExactPolynomial((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)))  # (x-1)(x-2)/6
-    assert p(Fraction(1, 2)) == Fraction(1, 8) and p(2) == 0 and p(-1) == 1
-    # a char_poly of a rational matrix has non-integer coefficients
-    q = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-7, 5)]]
-    poly = char_poly(q)
-    assert any(c.denominator > 1 for c in poly.coefficients)
-    for x in (0, -4, Fraction(-3, 7), Fraction(5, 2**40)):
-        _assert_exact_value(poly, x)
-        assert poly(x) == _char_poly_oracle_value(q, x)
+    # a value that must cancel: the Horner sum shares factors with q^d
+    p = ExactPolynomial((6, -18, 12))  # 6(x-1)(x-2)
+    assert p(Fraction(1, 2)) == Fraction(9, 2) and p(2) == 0 and p(-1) == 36
 
 
-def test_largest_root_known_quadratic():
-    p = ExactPolynomial((1, 0, -2))  # x^2 - 2
-    root = largest_root(p, 0, 2, width=Fraction(1, 10**12))
-    assert root.lo <= root.hi
-    assert root.width <= Fraction(1, 10**12)
-    assert abs(root.value - 2**0.5) < 1e-11
-    assert root.lo * root.lo <= 2 <= root.hi * root.hi
-
-
-def test_largest_root_picks_rightmost():
-    p = ExactPolynomial((1, -10, 35, -50, 24))  # (x-1)(x-2)(x-3)(x-4)
-    root = largest_root(p, 0, 5)
-    assert root.lo <= 4 <= root.hi
-    assert root.width <= Fraction(1, 10**10)
-
-
-def test_largest_root_exact_hit_at_endpoint():
-    p = ExactPolynomial((1, -3, 2))
-    root = largest_root(p, 0, 2)
-    assert root.lo == root.hi == 2
-    assert root.value == 2.0
-
-
-def test_largest_root_bracket_errors():
-    p = ExactPolynomial((1, -4, 3))  # roots 1, 3
-    with pytest.raises(BracketError):
-        largest_root(p, 0, 2)  # poly(2) < 0: largest root above bracket
-    with pytest.raises(BracketError):
-        largest_root(ExactPolynomial((1, 0, 1)), 0, 2)  # no real roots
-    with pytest.raises(BracketError):
-        largest_root(p, 0, 1)  # poly(1) == 0, yet the root 3 lies above
-    with pytest.raises(BracketError):
-        # a double root: p never changes sign, so no bracket is certified
-        largest_root(ExactPolynomial((9, -6, 1)), 0, 1)
-    with pytest.raises(ParameterError):
-        largest_root(p, 3, 1)
-    with pytest.raises(ParameterError):
-        largest_root(ExactPolynomial((5,)), 0, 1)
-
-
-def _from_roots(roots, lead=1):
-    coefficients = [Fraction(lead)]
-    for r in roots:
-        coefficients = [a - r * b for a, b in zip(coefficients + [0], [0] + coefficients)]
-    return ExactPolynomial(tuple(coefficients))
-
-
-def test_largest_root_sees_a_close_pair_above_a_positive_midpoint():
-    # p > 0 at the first midpoint 2, below the pair 3001/1000 < 3002/1000
-    p = _from_roots((1, Fraction(3001, 1000), Fraction(3002, 1000)))
-    assert p(2) > 0
-    root = largest_root(p, 0, 4)
-    assert root.lo <= Fraction(3002, 1000) <= root.hi
-    assert root.width <= Fraction(1, 10**10)
-
-
-def test_largest_root_hits_a_root_above_a_lower_exact_root():
-    # 2(x-1)(x-3)(x-7/2): the negative stretch (3, 7/2) lies above the root 1
-    root = largest_root(ExactPolynomial((2, -15, 34, -21)), 0, 4)
-    assert root.lo == root.hi == Fraction(7, 2)
-
-
-def test_largest_root_on_random_rational_roots():
-    # products of linear factors with a simple largest root: close pairs
-    # (wider apart than `width`), repeated lower roots, and brackets that
-    # start or end on a root
-    rng = random.Random(11)
-    width = Fraction(1, 10**10)
-    for trial in range(400):
-        roots = list({Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(rng.randrange(1, 5))})
-        if trial % 3 == 1:
-            roots.append(max(roots) + Fraction(1, rng.choice((10**3, 10**5, 10**9))))
-        elif trial % 3 == 2:
-            roots += [min(roots)] * 2
-        top = max(roots)
-        p = _from_roots(roots, lead=rng.choice((1, -3, Fraction(1, 2))))
-        # lo == top or lo on a lower root gives p(lo) == 0; hi == top gives p(hi) == 0
-        lo = rng.choice([top - 5, top - Fraction(1, 7), *roots])
-        hi = top + rng.choice((0, Fraction(1, 3), 2))
-        root = largest_root(p, lo, hi, width=width)
-        assert root.lo <= top <= root.hi
-        assert root.width <= width
-        assert p(root.lo) * p.coefficients[0] <= 0 <= p(root.hi) * p.coefficients[0]
-
-
-def test_largest_root_rejects_nonpositive_width():
+def test_family_quartic_root_rejects_nonpositive_width():
     # exact bisection to a width <= 0 would never terminate
-    p = ExactPolynomial((1, 0, -2))
-    for width in (0, Fraction(-1)):
+    for width in (0, Fraction(-1), Fraction(-1, 10)):
         with pytest.raises(ParameterError, match="width"):
-            largest_root(p, 0, 2, width=width)
-    with pytest.raises(ParameterError):
-        family_quartic_root(14, 1, width=Fraction(-1, 10))
+            family_quartic_root(14, 1, width=width)
 
 
 def test_family_quartic_root_reference_value():
@@ -305,13 +224,17 @@ def test_family_quartic_root_tracks_power_iteration():
 
 
 def test_family_quartic_root_is_the_saturated_root():
-    # family_quartic_root is the saturated spec's root; the closed-form route
-    # it replaced (the quartic over [2W/n, 2n - s - 2] in closed form) stays
-    # here as the reference and isolates the same bracket, also at odd n and
-    # at n = 2s + 6, where the two K_3 cells merge into one 3 x 3 quotient
-    def closed_form_root(n, s, w):
-        lo = Fraction(n * n + (2 * s + 5) * n - 3 * s * s - 13 * s - 18, n)
-        return largest_root(family_quartic(n, s), lo, 2 * n - s - 2, w)
+    # family_quartic_root is the saturated spec's root: the closed-form quartic
+    # changes sign across its bracket (or vanishes at hi) and the graph's
+    # eigensolve lies in it, also at odd n and at n = 2s + 6, where the two
+    # K_3 cells merge into one 3 x 3 quotient
+    def assert_brackets(n, s, root):
+        p = family_quartic(n, s)
+        assert p(root.lo) <= 0 < p(root.hi) or p(root.hi) == 0, (n, s)
+        rest = disjoint_union(complete_graph(3), complete_graph(n - 2 * s - 3))
+        graph = join(complete_graph(s), disjoint_union(empty_graph(s), rest))
+        rho = np.linalg.eigvalsh(distance_matrix(graph)).max()
+        assert root.lo - 1e-9 <= rho <= root.hi + 1e-9, (n, s)
 
     pairs = [(n, s) for n in range(8, 41, 2) for s in range(1, (n - 6) // 2 + 1)]
     assert len(pairs) == 153
@@ -320,9 +243,20 @@ def test_family_quartic_root_is_the_saturated_root():
     width = Fraction(1, 10**12)
     cases = [(p, DEFAULT_ROOT_WIDTH) for p in pairs + odd] + [(p, width) for p in grid + odd]
     for (n, s), w in cases:
-        root, expected = family_quartic_root(n, s, w), closed_form_root(n, s, w)
-        assert (root.lo, root.hi) == (expected.lo, expected.hi), (n, s, w)
+        root = family_quartic_root(n, s, w)
+        assert root.width <= w
+        assert_brackets(n, s, root)
         assert root == _saturated_root(s, (1,) * s + (3, n - 2 * s - 3), w)
+    # the brackets the closed-form quartic's Descartes bisection isolated, to the bit
+    assert (family_quartic_root(14, 1).lo, family_quartic_root(14, 1).hi) == (
+        Fraction(573134776675, 30064771072),
+        Fraction(9170156426845, 481036337152),
+    )
+    root = family_quartic_root(22, 2, width)
+    assert (root.lo, root.hi) == (
+        Fraction(5703466671236739, 193514046488576),
+        Fraction(2851733335618433, 96757023244288),
+    )
     assert len(_saturated_quotient(2, (1, 1, 3, 3))) == 3
     # (n, s) is checked before any root work, with family_quartic's messages
     for n, s, message in ((14, 0, "hub size must be positive"), (13, 4, "need n >= 2s\\+6")):
@@ -342,6 +276,37 @@ def test_saturated_root_isolates_each_spec_once_however_called():
     assert (info.misses, info.hits) == (1, 1)
     assert _saturated_root(1, (9, 1, 3), DEFAULT_ROOT_WIDTH) is root
     assert quotient._isolate_saturated_root.cache_info().misses == 1
+
+
+def test_saturated_brackets_are_proved_by_leading_minors():
+    # every canonical shape with n <= 40 and every threshold shape: rho <= hi
+    # by no minor at hi, and rho > lo by a minor unless lo is the floor 2W/n
+    specs = [
+        (s, canonical_parts(n, s, q))
+        for n in range(5, 41)
+        for s in range(1, n)
+        for q in range(s + 2, n + 1)
+        if canonical_parts(n, s, q)[-1] >= 3
+    ]
+    specs += [_reference_parts(n) for n in range(4, 65, 2)]
+    for width in (Fraction(1, 10**10), Fraction(1, 10**12)):
+        for spec in specs:
+            root, rows = _saturated_root(*spec, width), _saturated_quotient(*spec)
+            sizes = [spec[0]] + rows[0][1:]
+            floor = Fraction(sum(m * sum(row) for m, row in zip(sizes, rows)), sum(sizes))
+            assert _minor_certificate(rows, root.hi) is None, spec
+            assert root.lo == floor or _minor_certificate(rows, root.lo) is not None, spec
+            assert root.width <= width
+
+
+def test_saturated_root_brackets_a_root_a_midpoint_hits():
+    # rho = 23 of K_8 v 10K_1 is a bisection midpoint: hi lands on it, and lo
+    # stays a proved lower bound just below
+    root = _saturated_root(8, (1,) * 10)
+    assert (root.lo, root.hi) == (23 - Fraction(1, 2**34), 23)
+    rows = _saturated_quotient(8, (1,) * 10)
+    assert _minor_certificate(rows, Fraction(23)) is None
+    assert _minor_certificate(rows, root.lo) is not None
 
 
 def test_saturated_spec_takes_parts_in_any_order_and_rejects_empty_cells():
@@ -367,7 +332,7 @@ def test_homogeneous_forms_equal_the_fraction_forms():
     # at ints p and q > 0 each form is q^d f(p/q) exactly, f's value at the
     # Fraction p/q scaled: negative p, q = 1 (f(p) itself) and 60-bit q
     rng = random.Random(24)
-    halving = char_poly([[0, Fraction(1, 2)], [Fraction(1, 3), 5]])  # lcm L = 6
+    generic = char_poly([[0, 2], [3, 5]])
     for i in range(300):
         k = rng.randrange(1, 6)
         s = k + rng.randrange(0, 5)
@@ -378,7 +343,7 @@ def test_homogeneous_forms_equal_the_fraction_forms():
         assert hub_gap_coefficient(s, n, k, p, q) == q**3 * hub_gap_coefficient(s, n, k, mu)
         assert gap_bound_cubic(p, n, k, q) == q**3 * gap_bound_cubic(mu, n, k)
         assert family_quartic(n, s).numerator(p, q) == q**4 * family_quartic(n, s)(mu)
-        assert halving.numerator(p, q) == 6 * q**2 * halving(mu)
+        assert generic.numerator(p, q) == q**2 * generic(mu)
         if q == 1:
             assert hub_gap_coefficient(s, n, k, p, 1) == hub_gap_coefficient(s, n, k, p)
             assert family_quartic(n, s).numerator(p) == family_quartic(n, s)(p)
@@ -412,10 +377,10 @@ def test_gap_bound_cubic_derivative_consistent():
         n = 2 * k + 8 + 2 * rng.randrange(0, 12)
         cubic = ExactPolynomial(
             (
-                Fraction(-2),
-                Fraction(n + 10 * k + 2),
-                Fraction(8 * n - 4 * k * k + 44 * k - 8),
-                Fraction(16 * n - 16 * k * k + 40 * k - 48),
+                -2,
+                n + 10 * k + 2,
+                8 * n - 4 * k * k + 44 * k - 8,
+                16 * n - 16 * k * k + 40 * k - 48,
             )
         )
         mu = Fraction(rng.randrange(0, 200), rng.randrange(1, 7))
@@ -438,10 +403,10 @@ def test_radius_floor_derivative_consistent():
     for k in range(1, 5):
         floor_poly = ExactPolynomial(
             (
-                Fraction(-1),
-                Fraction(6 * k - 2),
-                Fraction(11 * k * k + 86 * k - 1),
-                Fraction(4 * k**3 + 60 * k * k + 212 * k - 108),
+                -1,
+                6 * k - 2,
+                11 * k * k + 86 * k - 1,
+                4 * k**3 + 60 * k * k + 212 * k - 108,
             )
         )
         for n in range(8 * k + 6, 8 * k + 30, 2):
