@@ -51,7 +51,6 @@ from .matching import (
     tutte_deficiency_bruteforce,
 )
 from .spectra import (
-    ConvergenceError,
     DisconnectedError,
     SpectralEstimate,
     distance_matrix,

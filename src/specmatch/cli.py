@@ -45,7 +45,6 @@ from .quotient import (
     quotient_matrix,
 )
 from .spectra import (
-    ConvergenceError,
     DisconnectedError,
     distance_matrix,
     distance_spectral_radius,
@@ -155,8 +154,8 @@ def _cmd_spectra(args) -> int:
         "wiener": wiener,
         "wiener_bound": float(bound),
         "mu": est.value,
-        "bracket": [est.lo, est.hi],
-        "residual": est.residual,
+        "bracket": [float(est.lo), float(est.hi)],
+        "bracket_exact": [str(est.lo), str(est.hi)],
         "iterations": est.iterations,
     }
     if args.json:
@@ -167,7 +166,7 @@ def _cmd_spectra(args) -> int:
         print(f"wiener: {wiener}")
         print(f"wiener bound 2W/n: {float(bound):.12g}")
         print(f"mu: {est.value:.12g}")
-        print(f"bracket: [{est.lo:.12g}, {est.hi:.12g}]")
+        print(f"bracket: [{float(est.lo):.12g}, {float(est.hi):.12g}]")
         print(f"iterations: {est.iterations}")
     return 0
 
@@ -435,7 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         Graph6Error,
         CapacityError,
         DisconnectedError,
-        ConvergenceError,
         OSError,
         UnicodeDecodeError,
     ) as exc:

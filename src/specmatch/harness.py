@@ -5,13 +5,14 @@ when every checked instance satisfied its predicate. Every check that has a
 witness graph is decided by one predicate, registered in CHECKS under the
 check's name: it returns a violation record (the witness in graph6 form plus
 the parameters of the check) or None. The suites call the predicates, and
-replay_violation calls the same predicate on a recorded witness. A float
-radius estimate is held strictly above a threshold graph's exact root only
-when its bracket clears the root's: est.lo > root.hi compares a float with a
-Fraction exactly. Edge monotonicity is decided by exact distance dominance,
-and every ordering of two hub-and-cliques graphs, the saturated-graph
-reduction included, on exact leading minors of the graph-free quotients in
-quotient.py.
+replay_violation calls the same predicate on a recorded witness. A graph's
+radius is held strictly above a threshold graph's exact root only when its
+exact bracket clears the root's: est.lo > root.hi compares two Fractions, and
+a violation records whether it is certified (est.hi < root.lo) or undecided
+(the brackets overlap). Edge monotonicity is decided by exact distance
+dominance, and every ordering of two hub-and-cliques graphs, the
+saturated-graph reduction included, on exact leading minors of the
+graph-free quotients in quotient.py.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .quotient import (
     gap_bound_floor_deriv,
     hub_gap_coefficient,
 )
-from .spectra import _distance_matrices, _radius, distance_spectral_radius, wiener_index
+from .spectra import _distance_matrices, distance_spectral_radius, wiener_index
 
 _BLOCK_BITS = 18
 # stages of the threshold-order chain after the scan's table prefilter
@@ -109,6 +110,16 @@ def _violation(check: str, witness: Graph | None, detail: str, **data) -> dict:
         "witness": write_graph6(witness) if witness is not None else None,
         "detail": detail,
         "data": data,
+    }
+
+
+def _below(est, ref: CertifiedRoot) -> dict:
+    """Data of a bracket `est` not above `ref`: floats, exact ends, est.hi < ref.lo."""
+    return {
+        "estimate": [float(est.lo), float(est.hi)],
+        "estimate_exact": [str(est.lo), str(est.hi)],
+        "reference_hi": float(ref.hi),
+        "certified": est.hi < ref.lo,
     }
 
 
@@ -202,9 +213,9 @@ def _check_exhaustive_oracles(g: Graph, deficiency=None) -> dict | None:
 def _check_quartic_agreement(g: Graph, k: int, est=None, root=None) -> dict | None:
     est = distance_spectral_radius(g) if est is None else est
     root = family_quartic_root(g.n, k) if root is None else root
-    if abs(est.value - root.value) <= 1e-6:
+    if est.lo <= root.hi and root.lo <= est.hi:
         return None
-    detail = f"power iteration {est.value!r} vs quartic root {root.value!r}"
+    detail = f"radius bracket [{est.lo}, {est.hi}] misses quartic root [{root.lo}, {root.hi}]"
     return _violation("quartic-agreement", g, detail, n=g.n, k=k)
 
 
@@ -232,8 +243,8 @@ def _check_radius_floor(g: Graph, k: int, wiener=None, root=None) -> dict | None
 def verify_extremal_family(n: int, k: int, include_exhaustive_oracles: bool = False) -> SuiteReport:
     """Checks the claimed properties of K_k v (kK_1 u K_3 u K_{n-2k-3}):
     exact connectivity k, a fractional perfect matching, no perfect matching
-    with the hub as Tutte certificate (k+2 odd components), radius agreeing
-    with the quartic root to 1e-6, and radius strictly above n+k+3.
+    with the hub as Tutte certificate (k+2 odd components), a radius bracket
+    meeting the quartic root's, and radius strictly above n+k+3.
     """
     if k < 1 or n % 2 or n < 8 * k + 6:
         raise ParameterError(f"need k >= 1 and even n >= 8k+6, got n={n}, k={k}")
@@ -258,7 +269,7 @@ def verify_extremal_family(n: int, k: int, include_exhaustive_oracles: bool = Fa
 
     est = distance_spectral_radius(g)
     root = family_quartic_root(n, k)
-    report.extras["mu_estimate"] = [est.value, est.lo, est.hi]
+    report.extras["mu_estimate"] = [est.value, float(est.lo), float(est.hi)]
     report.extras["quartic_root"] = [root.value, float(root.lo), float(root.hi)]
     _record(report, _check_quartic_agreement(g, k, est, root))
 
@@ -394,8 +405,7 @@ def _check_threshold_order(g: Graph, n: int, ref=None, counts=None, admitted=Fal
         counts["strictly_greater"] += 1
         return None
     detail = "no perfect matching yet radius not above the threshold"
-    data = {"estimate": [est.lo, est.hi], "reference_hi": float(ref.hi)}
-    return _violation("threshold-order", g, detail, n=n, **data)
+    return _violation("threshold-order", g, detail, n=n, **_below(est, ref))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -711,15 +721,8 @@ def check_probe_sample(
     est = distance_spectral_radius(g)
     if est.lo > ref_root.hi or matches_clique_join(g, k, canonical_parts(n, k)):
         return None
-    return _violation(
-        "probe-order",
-        g,
-        "valid sample with radius not above the threshold",
-        n=n,
-        k=k,
-        estimate=[est.lo, est.hi],
-        reference_hi=float(ref_root.hi),
-    )
+    detail = "valid sample with radius not above the threshold"
+    return _violation("probe-order", g, detail, n=n, k=k, **_below(est, ref_root))
 
 
 def probe_extremal_bound(
@@ -815,13 +818,6 @@ def corollary_comparison(n_lo: int = 14, n_hi: int = 40) -> SuiteReport:
     return report
 
 
-def _check_wiener_bound(g: Graph, est=None) -> dict | None:
-    est = distance_spectral_radius(g) if est is None else est
-    if est.value >= 2 * est.wiener / g.n:  # 2W/n correctly rounded
-        return None
-    return _violation("wiener-bound", g, "radius estimate below 2W/n", n=g.n)
-
-
 def _dominated(dist_h: np.ndarray, dist_g: np.ndarray) -> np.ndarray:
     """D(H) <= D(G) entrywise with some entry lower, for each H of a stack."""
     return (dist_h <= dist_g).all(axis=(-2, -1)) & (dist_h < dist_g).any(axis=(-2, -1))
@@ -877,10 +873,10 @@ def lemma_suites(
 
     Adding an edge strictly lowers the radius, decided exactly by one
     dominance test over the stacked BFS of G and every G + uv, whose adjacency
-    matrices are copies of G's with one entry pair set; G's estimate,
-    its one eigensolve, stays above 2W/n; random valid hub-and-cliques graphs
-    sit strictly above their canonical shape; and the two thresholds compare
-    on even orders in `corollary_span`, these two exactly on quotients.
+    matrices are copies of G's with one entry pair set; random valid
+    hub-and-cliques graphs sit strictly above their canonical shape; and the
+    two thresholds compare on even orders in `corollary_span`, these two
+    exactly on quotients. No graph is eigensolved.
     """
     if min(monotonicity_graphs, ordering_specs) < 0:
         raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
@@ -895,14 +891,13 @@ def lemma_suites(
             "corollary_span": list(corollary_span),
         },
     )
-    corollary = corollary_comparison(*corollary_span)  # checks the span before any other solve
+    corollary = corollary_comparison(*corollary_span)  # checks the span before any other work
     edge_checks = 0
     for _ in range(monotonicity_graphs):
         n = rng.randrange(5, 15)  # orders 5..14
         g = random_connected_graph(rng, n)
         missing, stack = _edge_stack(g)
         dists = _distance_matrices(stack)
-        _record(report, _check_wiener_bound(g, _radius(dists[0])))
         for edge, dominated in zip(missing, _dominated(dists[1:], dists[0]).tolist()):
             _record(report, _check_edge_monotonicity(g, edge, dominated))
         edge_checks += len(missing)
@@ -1054,7 +1049,6 @@ CHECKS: dict[str, Callable[..., dict | None]] = {
     "saturated-order": _check_saturated_order,
     "probe-order": check_probe_sample,
     "corollary-order": _check_corollary_order,
-    "wiener-bound": _check_wiener_bound,
     "edge-monotonicity": _check_edge_monotonicity,
     "family-ordering": _check_family_ordering,
 }

@@ -5,8 +5,8 @@ whose spectrum embeds in the full one; in particular the Perron value of the
 distance matrix equals the largest eigenvalue of the quotient. Everything
 here is exact: integer entries, Faddeev-LeVerrier characteristic
 polynomials, and bisection with rational endpoints whose root brackets are
-proved by the leading principal minors of tI - Q, so downstream comparisons
-against float estimates inherit hard guarantees.
+proved by the leading principal minors of tI - Q, so comparisons against
+the exact radius brackets of spectra.py are exact too.
 
 A saturated spec (s, parts), the graph K_s v (K_{n1} u ... u K_{nq}), needs
 no graph: its quotient, its root and its order against a rational t (by the
@@ -57,13 +57,13 @@ def quotient_matrix(
     Raises ParameterError when the partition is not equitable for the matrix,
     since the quotient only carries spectral information in that case.
     """
-    n = len(matrix)
-    blocks = _as_blocks(partition, n)
+    matrix = [_as_ints(row, "matrix entries") for row in matrix]
+    blocks = _as_blocks(partition, len(matrix))
     rows = []
     for cells in blocks:
         row = []
         for other in blocks:
-            sums = {sum(int(matrix[v][u]) for u in other) for v in cells}
+            sums = {sum(matrix[v][u] for u in other) for v in cells}
             if len(sums) > 1:
                 raise ParameterError("partition is not equitable for this matrix")
             row.append(sums.pop())

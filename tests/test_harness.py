@@ -213,7 +213,6 @@ def test_spec_orderings_run_with_no_eigensolver(monkeypatch):
         raise AssertionError("a hub-and-cliques graph was eigensolved")
 
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
-    monkeypatch.setattr(harness, "_radius", no_solve)
     for spec, k in (
         (FamilySpec(18, 2, (3, 3, 3, 7)), 2),
         (FamilySpec(22, 2, (1, 1, 3, 15)), 1),
@@ -738,6 +737,8 @@ def test_probe_exploratory_finds_genuine_violations():
     violation = report.violations[0]
     assert violation["check"] == "probe-order"
     assert replay_violation(violation) is True
+    # each is certified: the exact bracket lies wholly below the threshold root
+    assert all(v["data"]["certified"] is True for v in report.violations)
 
 
 def test_check_probe_sample_contract():
@@ -749,6 +750,9 @@ def test_check_probe_sample_contract():
     violation = check_probe_sample(below, 14, 1, ref)
     assert violation["check"] == "probe-order"
     assert violation["data"]["estimate"][1] < float(ref.lo)
+    # K_14's radius is 13 exactly, far below the root, so the violation is certified
+    assert violation["data"]["estimate_exact"] == ["13", "13"]
+    assert violation["data"]["certified"] is True
 
 
 def test_replay_rejects_malformed_records():
@@ -784,11 +788,6 @@ def test_replayers_return_false_on_healthy_witnesses():
             "check": "edge-monotonicity",
             "witness": write_graph6(Graph(4, [(0, 1), (1, 2), (2, 3)])),
             "data": {"edge": [0, 2], "tol": 1e-9},
-        },
-        {
-            "check": "wiener-bound",
-            "witness": write_graph6(complete_graph(5)),
-            "data": {"tol": 1e-9},
         },
         {
             "check": "family-ordering",
@@ -830,7 +829,6 @@ HEALTHY = {
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "probe-order": (_FRAC14, {"n": 14, "k": 1}),
     "corollary-order": (_FRAC14, {"n": 14}),
-    "wiener-bound": (complete_graph(5), {}),
     "edge-monotonicity": (_P4, {"edge": [0, 2]}),
     "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
@@ -860,16 +858,10 @@ FAILING = {
     "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
-CANNOT_FAIL = {
-    "wiener-bound": "distance_spectral_radius clamps `value` into a bracket whose floor is 2W/n",
-}
-
 
 def test_check_table_covers_every_witness_check():
-    assert len(CHECKS) == 17
-    assert set(HEALTHY) == set(CHECKS)
-    assert set(FAILING) | set(CANNOT_FAIL) == set(CHECKS)
-    assert not set(FAILING) & set(CANNOT_FAIL)
+    assert len(CHECKS) == 16
+    assert set(HEALTHY) == set(CHECKS) == set(FAILING)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -878,8 +870,6 @@ def test_check_table_replays(check):
     assert CHECKS[check](g, **data) is None
     record = {"check": check, "witness": write_graph6(g), "detail": "", "data": data}
     assert replay_violation(record) is False
-    if check in CANNOT_FAIL:
-        return
     g, data = FAILING[check]
     violation = CHECKS[check](g, **data)
     assert violation["check"] == check
@@ -928,7 +918,6 @@ SUITE_RUNS = {
     "saturated-order": lambda: [pm_threshold_scan(10)],
     "probe-order": lambda: [probe_extremal_bound(14, 1, trials=3)],
     "corollary-order": lambda: [corollary_comparison(14, 14), _small_lemmas()],
-    "wiener-bound": lambda: [_small_lemmas()],
     "edge-monotonicity": lambda: [_small_lemmas()],
     "family-ordering": lambda: [_small_lemmas()],
 }
@@ -956,7 +945,7 @@ def test_lemma_suites_small_run():
         corollary_span=(14, 16),
     )
     assert report.passed
-    assert report.cases == 6 + report.extras["edge_checks"] + 6 + 2
+    assert report.cases == report.extras["edge_checks"] + 6 + 2
     margins = report.extras["corollary_margins"]
     assert set(margins) == {14, 16}
     assert all(m > 0 for m in margins.values())
@@ -965,12 +954,8 @@ def test_lemma_suites_small_run():
 def test_edge_monotonicity_replays_records_that_carry_tol():
     # records written while these checks took a tolerance carry "tol"; the
     # predicates take none and replay drops the key
-    for check in ("edge-monotonicity", "probe-order", "quartic-agreement", "threshold-order",
-                  "wiener-bound"):
-        cases = [(HEALTHY[check], False)]
-        if check in FAILING:
-            cases.append((FAILING[check], True))
-        for (g, data), fails in cases:
+    for check in ("edge-monotonicity", "probe-order", "quartic-agreement", "threshold-order"):
+        for (g, data), fails in ((HEALTHY[check], False), (FAILING[check], True)):
             record = {"check": check, "witness": write_graph6(g), "detail": "",
                       "data": {**data, "tol": 1e-9}}
             assert replay_violation(record) is fails, check
@@ -998,24 +983,24 @@ def test_edge_monotonicity_agrees_with_the_eigensolver():
 
 def test_lemma_suites_solves_each_random_graph_once(monkeypatch):
     stacks, solves = [], []
-    distances, radius = harness._distance_matrices, harness._radius
+    distances, eigh = harness._distance_matrices, np.linalg.eigh
     monkeypatch.setattr(
         harness,
         "_distance_matrices",
         lambda adjacency: stacks.append(len(adjacency)) or distances(adjacency),
     )
-    monkeypatch.setattr(harness, "_radius", lambda dist: solves.append(dist.shape) or radius(dist))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a.shape) or eigh(a))
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("a lemma graph was solved outside its stack")
+        raise AssertionError("a lemma graph was eigensolved")
 
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
     report = lemma_suites(3, monotonicity_graphs=7, ordering_specs=2, corollary_span=(14, 16))
     assert report.passed
-    # one stack of G and every G + uv, and one eigensolve, of G alone, per graph
+    # one stack of G and every G + uv per graph, and no eigensolve at all
     assert sum(stacks) == 7 + report.extras["edge_checks"]
     assert len(stacks) == 7
-    assert len(solves) == 7 and all(len(shape) == 2 for shape in solves)
+    assert solves == []
 
 
 def test_lemma_suites_decide_each_stack_with_one_dominance_test(monkeypatch):
@@ -1143,7 +1128,6 @@ def test_corollary_span_is_rejected_before_any_eigensolve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the corollary span was checked")
 
-    monkeypatch.setattr(harness, "_radius", no_solve)
     monkeypatch.setattr(harness, "distance_spectral_radius", no_solve)
     for span in ((14, 66), (13, 40), (20, 14), (14, 41)):
         with pytest.raises(ParameterError, match="n_lo <= n_hi <= 64"):

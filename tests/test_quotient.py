@@ -75,6 +75,14 @@ def test_equitable_recognition():
     bad = [[0], [1, 2], [3, 4], list(range(5, 14))]
     with pytest.raises(ParameterError, match="not equitable"):
         quotient_matrix(dist, bad)
+    # numpy int rows read as ints; a non-integer matrix is refused, not truncated
+    partition = extremal_partition(14, 1)
+    assert quotient_matrix(distance_matrix(extremal_family(14, 1)), partition) == (
+        quotient_matrix(dist, partition)
+    )
+    halves = [[d + 0.5 for d in row] for row in dist]
+    with pytest.raises(ParameterError, match="must be integers"):
+        quotient_matrix(halves, partition)
 
 
 def test_partition_validation():

@@ -12,7 +12,6 @@ import specmatch.spectra
 
 from specmatch import (
     CertifiedRoot,
-    ConvergenceError,
     DisconnectedError,
     Graph,
     ParameterError,
@@ -27,7 +26,7 @@ from specmatch import (
     wiener_index,
 )
 from specmatch.graphs import _adjacency_matrices
-from specmatch.quotient import family_quartic_root
+from specmatch.quotient import _minor_certificate, family_quartic_root
 
 
 def _random_connected(rng, n):
@@ -110,13 +109,11 @@ def test_wiener_known_values():
 
 
 def test_wiener_lower_bound_is_exact_fraction():
-    from fractions import Fraction
-
     g = extremal_family(14, 1)
     bound = Fraction(2 * wiener_index(g), g.n)
     assert bound == Fraction(260, 14)
     est = distance_spectral_radius(g)
-    assert est.lo >= float(bound) - 1e-12
+    assert est.lo >= Fraction(260, 14)
 
 
 def test_complete_graph_is_transmission_regular():
@@ -142,9 +139,8 @@ def test_cycle4_closed_form():
 
 def test_estimate_invariants():
     est = distance_spectral_radius(extremal_family(14, 1), tol=1e-10)
-    assert est.lo <= est.value <= est.hi
+    assert float(est.lo) <= est.value <= float(est.hi)
     assert est.width <= 1e-10
-    assert est.residual < 1e-6
     assert est.iterations >= 1
     # frozen reference value for the n=14, k=1 minimizer
     assert abs(est.value - 19.063334136323355) <= 1e-9
@@ -168,102 +164,103 @@ def test_parameter_validation():
         distance_spectral_radius(complete_graph(4), tol=1e-13)
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=float("nan"))
-
-
-def test_convergence_error_carries_bracket(monkeypatch):
-    # with no steps allowed the carried bracket is the starting one: on P5 the
-    # exact floor 2W/n = 40/5 and the largest transmission 1+2+3+4
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
-    with pytest.raises(ConvergenceError) as err:
-        distance_spectral_radius(_path(5), tol=1e-12)
-    assert err.value.iterations == 0
-    assert (err.value.lo, err.value.hi) == (8.0, 10.0)
+    # any tolerance above the first bracket's width, an infinite one too, takes one step
+    for tol in (1.0, 1e6, math.inf):
+        assert distance_spectral_radius(_path(9), tol=tol).iterations == 1
 
 
 def _fields(est):
-    return (est.value, est.lo, est.hi, est.iterations, est.residual)
+    return (est.value, est.lo, est.hi, est.iterations, est.wiener)
 
 
-def _reference_fields(g, tol):
-    """The same certificate for one graph as a plain loop over Python floats."""
-    dist = distance_matrix(g).astype(float)
-    lo = float(Fraction(int(dist.sum()), g.n))
-    hi = float(dist.sum(axis=1).max())
-    x = np.abs(np.linalg.eigh(dist)[1][:, -1])
+def _reference_fields(dist, tol):
+    """The same certificate for one distance matrix (lists of ints) in plain
+    Python: the float Perron vector scaled to positive ints, then exact
+    Collatz-Wielandt steps over Fractions inside [2W/n, max transmission]."""
+    values, vectors = np.linalg.eigh(np.array(dist, dtype=float))
+    v = [abs(c) for c in vectors[:, -1].tolist()]
+    x = [int(c * 2.0**50 / max(v)) + 1 for c in v]
+    lo, hi = Fraction(sum(map(sum, dist)), len(dist)), Fraction(max(map(sum, dist)))
     iterations = 0
     while True:
-        y = dist @ x
+        y = [sum(d * c for d, c in zip(row, x)) for row in dist]
         iterations += 1
-        lo = max(lo, float((y / x).min()))
-        hi = min(hi, float((y / x).max()))
-        x = y / np.linalg.norm(y)
-        if hi - lo <= tol:
+        ratios = [Fraction(p, q) for p, q in zip(y, x)]
+        lo, hi = max(lo, min(ratios)), min(hi, max(ratios))
+        if hi - lo <= Fraction(tol):
             break
-    dx = dist @ x
-    value = min(max(float(x @ dx), lo), hi)
-    return (value, lo, hi, iterations, float(np.abs(dx - value * x).max()))
+        x = y
+    value = min(max(float(values[-1]), float(lo)), float(hi))
+    return (value, lo, hi, iterations, sum(map(sum, dist)) // 2)
 
 
-def _stacked_radii(graphs, tol):
-    """Each graph's estimate from its slice of one stacked BFS, as lemma_suites solves G."""
+def _stacked_distances(graphs):
+    """Each graph's distance matrix as lists, sliced from one stacked BFS."""
     dists = specmatch.spectra._distance_matrices(_adjacency_matrices(graphs))
-    return [specmatch.spectra._radius(dist, tol) for dist in dists]
+    return [dist.astype(np.int64).tolist() for dist in dists]
 
 
 def test_stacked_radii_equal_single_solves():
-    # a slice of one stacked BFS gives each graph exactly the estimate it gets
-    # alone, and both round exactly as the one-graph loop does
+    # the certificate of a slice of one stacked BFS is exactly the one a graph
+    # gets alone, and both equal the plain-Python reference
     rng = random.Random(17)
     for n in range(2, 41):
         graphs = [_random_connected(rng, n) for _ in range(6)]
+        stacked = _stacked_distances(graphs)
         for tol in (1e-8, 1e-12):
             estimates = [distance_spectral_radius(g, tol) for g in graphs]
             assert [e.wiener for e in estimates] == [wiener_index(g) for g in graphs]
             single = [_fields(e) for e in estimates]
-            assert single == [_fields(e) for e in _stacked_radii(graphs, tol)]
-            assert single == [_reference_fields(g, tol) for g in graphs], (n, tol)
+            assert single == [_reference_fields(dist, tol) for dist in stacked], (n, tol)
+            alone = [_reference_fields(distance_matrix(g).tolist(), tol) for g in graphs]
+            assert single == alone, (n, tol)
 
 
 def test_stack_mixing_fast_and_slow_convergers():
-    # long paths need several steps at 1e-12 while K_n stops after one; a
-    # slow graph in the stack does not change the estimate of a fast one
+    # long paths need more exact steps at 1e-12 than K_n, which stops after
+    # one; a slow graph in the stack does not change the certificate of a fast one
     rng = random.Random(23)
     steps = set()
     for n in (34, 37, 38, 40, 64):
         graphs = [complete_graph(n), _path(n), _random_connected(rng, n), _cycle(n), _path(n)]
         graphs += [_random_connected(rng, n) for _ in range(4)]
-        stacked = _stacked_radii(graphs, 1e-12)
-        assert [_fields(e) for e in stacked] == [_reference_fields(g, 1e-12) for g in graphs], n
-        assert [_fields(e) for e in stacked] == [
-            _fields(distance_spectral_radius(g, 1e-12)) for g in graphs
-        ], n
-        assert stacked[0].iterations == 1 < stacked[1].iterations, n
-        steps |= {e.iterations for e in stacked}
+        stacked = [_reference_fields(dist, 1e-12) for dist in _stacked_distances(graphs)]
+        assert stacked == [_fields(distance_spectral_radius(g, 1e-12)) for g in graphs], n
+        assert stacked[0][3] == 1 < stacked[1][3], n
+        steps |= {fields[3] for fields in stacked}
     assert len(steps) >= 3
 
 
-def test_stacked_radii_reject_bad_input(monkeypatch):
+def test_stacked_radii_reject_bad_input():
     with pytest.raises(DisconnectedError):
         distance_spectral_radius(disjoint_union(complete_graph(2), complete_graph(3)))
     with pytest.raises(DisconnectedError):
-        _stacked_radii([_path(5), disjoint_union(complete_graph(2), complete_graph(3))], 1e-10)
-    # the error carries the graph's own bracket: with no steps allowed, P5's
-    # starting bracket; with one step, P37's first step, also behind a
-    # converged K37 in the stack
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 0)
-    with pytest.raises(ConvergenceError) as err:
-        _stacked_radii([_path(5), complete_graph(5)], 1e-12)
-    assert (err.value.lo, err.value.hi, err.value.iterations) == (8.0, 10.0, 0)
-    monkeypatch.setattr(specmatch.spectra, "MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError) as alone:
-        distance_spectral_radius(_path(37), tol=1e-12)
-    first_step = _reference_fields(_path(37), math.inf)
-    assert (alone.value.lo, alone.value.hi, alone.value.iterations) == (*first_step[1:3], 1)
-    with pytest.raises(ConvergenceError) as err:
-        _stacked_radii([complete_graph(37), _path(37), _path(37)], 1e-12)
-    assert (err.value.lo, err.value.hi, err.value.iterations) == (
-        alone.value.lo, alone.value.hi, 1
-    )
+        _stacked_distances([_path(5), disjoint_union(complete_graph(2), complete_graph(3))])
+
+
+def _assert_bracket_proved_by_minors(g, tol=1e-10):
+    # an independent exact check on D itself, which is symmetric: no leading
+    # minor of hi I - D proves rho > hi, and rho > lo has a minor unless lo is
+    # the floor 2W/n or the bracket is closed
+    dist = distance_matrix(g).tolist()
+    est = distance_spectral_radius(g, tol)
+    assert _minor_certificate(dist, est.hi) is None
+    floor = Fraction(2 * est.wiener, g.n)
+    assert est.lo in (floor, est.hi) or _minor_certificate(dist, est.lo) is not None
+    return est
+
+
+def test_brackets_are_proved_by_leading_minors():
+    rng = random.Random(29)
+    for n in range(2, 21):
+        for _ in range(5):
+            _assert_bracket_proved_by_minors(_random_connected(rng, n))
+        _assert_bracket_proved_by_minors(complete_graph(n))
+        _assert_bracket_proved_by_minors(join(complete_graph(1), empty_graph(n - 1)))
+        if n >= 3:
+            _assert_bracket_proved_by_minors(_cycle(n))
+    est = _assert_bracket_proved_by_minors(_path(64), tol=1e-12)
+    assert est.width <= 1e-12 and est.iterations > 1
 
 
 def test_brackets_contain_exact_family_roots():
@@ -283,8 +280,8 @@ def test_brackets_contain_exact_family_roots():
 
 
 def test_long_path_converges_at_the_tightest_tolerance():
-    # P64 (diameter 63) is the slowest power iteration at n <= 64; started at
-    # the Perron vector, even its bracket closes in a few steps
+    # P64 (diameter 63) is the slowest graph at n <= 64; started at the Perron
+    # vector, even its exact bracket closes in a few steps
     est = distance_spectral_radius(_path(64), tol=1e-12)
     assert est.width <= 1e-12
     assert est.iterations <= 8
@@ -292,14 +289,14 @@ def test_long_path_converges_at_the_tightest_tolerance():
 
 def test_compare_estimates_orderings():
     # one radius is strictly above another only when the brackets separate
-    a = SpectralEstimate(value=5.0, residual=0.0, lo=4.9, hi=5.1, iterations=1)
-    b = SpectralEstimate(value=3.0, residual=0.0, lo=2.9, hi=3.1, iterations=1)
+    a = SpectralEstimate(value=5.0, lo=4.9, hi=5.1, iterations=1)
+    b = SpectralEstimate(value=3.0, lo=2.9, hi=3.1, iterations=1)
     assert a.lo > b.hi and not b.lo > a.hi
-    overlapping = SpectralEstimate(value=5.0, residual=0.0, lo=5.0, hi=5.2, iterations=1)
+    overlapping = SpectralEstimate(value=5.0, lo=5.0, hi=5.2, iterations=1)
     assert not a.lo > overlapping.hi and not overlapping.lo > a.hi
     # an exact root is read exactly: the double 0.1 lies just above 1/10, but
     # float(Fraction(1, 10)) == 0.1, so through the float the brackets touch
-    est = SpectralEstimate(value=0.2, residual=0.0, lo=0.1, hi=0.3, iterations=1)
+    est = SpectralEstimate(value=0.2, lo=0.1, hi=0.3, iterations=1)
     root = CertifiedRoot(value=0.075, lo=Fraction(1, 20), hi=Fraction(1, 10))
     assert est.lo > root.hi and not est.lo > float(root.hi)
     assert root.hi < est.lo
