@@ -31,7 +31,6 @@ from .graphs import (
     write_graph6,
 )
 from .matching import (
-    _cover_matching,
     fractional_pm_witness,
     fractional_violator,
     max_matching,
@@ -182,7 +181,7 @@ def _cmd_matching(args) -> int:
         "matching": sorted(matching.edges),
     }
     if not perfect:
-        cert = tutte_certificate(g, matching)
+        cert = tutte_certificate(g)
         result["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,
@@ -205,13 +204,12 @@ def _cmd_matching(args) -> int:
 
 def _cmd_fractional(args) -> int:
     g = _load_graph(args)
-    cover = _cover_matching(g)
-    witness = fractional_pm_witness(g, cover)
+    violator = fractional_violator(g)
+    witness = fractional_pm_witness(g) if violator is None else None
     result: dict = {"order": g.n, "fractional_perfect_matching": witness is not None}
     if witness is not None:
         result["weights"] = {f"{u}-{v}": str(w) for (u, v), w in witness.weights}
     else:
-        violator = fractional_violator(g, cover)
         result["violating_set"] = vertices_from_mask(violator)
         result["isolated"] = isolated_count(g, violator)
     if args.json:

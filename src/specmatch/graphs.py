@@ -353,25 +353,30 @@ def isolated_count(g: Graph, removed: int) -> int:
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff |V| > k and no vertex set of size < k disconnects G.
 
-    Decided by exhaustive removal of every subset of size < k; exponential in
-    k, fine at desk scale (k <= 4 or so).
+    Only separators that contain every universal vertex are searched. A set
+    that misses a universal vertex u leaves u adjacent to everything that
+    remains, so it cannot separate. The other vertices' subsets of size below
+    k - |hub| are tried exhaustively; none are left once |hub| >= k.
     """
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     if g.n <= k:
         return False
-    for size in range(k):
-        for combo in itertools.combinations(range(g.n), size):
-            if not is_connected(g, mask_from_vertices(combo)):
+    hub = universal_mask(g)
+    others = vertices_from_mask(g.full_mask & ~hub)
+    for size in range(k - hub.bit_count()):
+        for combo in itertools.combinations(others, size):
+            if not is_connected(g, hub | mask_from_vertices(combo)):
                 return False
     return True
 
 
 def universal_mask(g: Graph) -> int:
     """Mask of vertices adjacent to every other vertex."""
+    full = g.full_mask
     mask = 0
-    for v in range(g.n):
-        if g.rows[v] == g.full_mask ^ (1 << v):
+    for v, row in enumerate(g.rows):
+        if row | 1 << v == full:
             mask |= 1 << v
     return mask
 
@@ -486,11 +491,12 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, n: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines (0-indexed, '#' comments); order defaults to max label + 1.
 
     A "# n=<count>" comment pins the order explicitly.
     """
+    n = None
     edges = []
     max_v = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .graphs import (
+    _BRUTE_CAP,
     VERTEX_CAP,
     FamilySpec,
     Graph,
@@ -240,11 +241,12 @@ def _check_radius_floor(g: Graph, k: int, wiener=None, root=None) -> dict | None
     return _violation("radius-floor", g, f"radius not certified above {floor}", n=n, k=k)
 
 
-def verify_extremal_family(n: int, k: int, include_exhaustive_oracles: bool = False) -> SuiteReport:
+def verify_extremal_family(n: int, k: int) -> SuiteReport:
     """Checks the claimed properties of K_k v (kK_1 u K_3 u K_{n-2k-3}):
     exact connectivity k, a fractional perfect matching, no perfect matching
     with the hub as Tutte certificate (k+2 odd components), a radius bracket
-    meeting the quartic root's, and radius strictly above n+k+3.
+    meeting the quartic root's, and radius strictly above n+k+3; at n <= 16
+    the exhaustive oracles confirm the matching verdicts and deficiency 2.
     """
     if k < 1 or n % 2 or n < 8 * k + 6:
         raise ParameterError(f"need k >= 1 and even n >= 8k+6, got n={n}, k={k}")
@@ -262,7 +264,7 @@ def verify_extremal_family(n: int, k: int, include_exhaustive_oracles: bool = Fa
         }
     _record(report, _check_tutte_certificate(g, k, cert))
 
-    if include_exhaustive_oracles:
+    if n <= _BRUTE_CAP:
         deficiency, _ = tutte_deficiency_bruteforce(g)
         _record(report, _check_exhaustive_oracles(g, deficiency))
         report.extras["exhaustive_deficiency"] = deficiency
@@ -383,7 +385,7 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_rows(rows)
 
 
-def _check_threshold_order(g: Graph, n: int, ref=None, counts=None, admitted=False) -> dict | None:
+def _check_threshold_order(g: Graph, ref=None, counts=None, admitted=False) -> dict | None:
     """Theorem 11 for one graph: if g is connected without a perfect matching
     (taken as given when `admitted`), its radius is strictly above the
     threshold graph's exact root `ref`, or g is the threshold graph. The
@@ -391,13 +393,13 @@ def _check_threshold_order(g: Graph, n: int, ref=None, counts=None, admitted=Fal
     bracket comparison run in turn; `counts` tallies the stage that decided g."""
     if not admitted and (not is_connected(g) or has_perfect_matching(g)):
         return None
-    ref = threshold_reference(n) if ref is None else ref
+    ref = threshold_reference(g.n) if ref is None else ref
     counts = dict.fromkeys(_FUNNEL_KEYS, 0) if counts is None else counts
-    if matches_clique_join(g, *_reference_parts(n)):
+    if matches_clique_join(g, *_reference_parts(g.n)):
         counts["extremal_matches"] += 1
         return None
     est = distance_spectral_radius(g)
-    if Fraction(2 * est.wiener, n) > ref.hi:
+    if Fraction(2 * est.wiener, g.n) > ref.hi:
         counts["wiener_exact_pruned"] += 1
         return None
     counts["eigensolves"] += 1
@@ -405,7 +407,7 @@ def _check_threshold_order(g: Graph, n: int, ref=None, counts=None, admitted=Fal
         counts["strictly_greater"] += 1
         return None
     detail = "no perfect matching yet radius not above the threshold"
-    return _violation("threshold-order", g, detail, n=n, **_below(est, ref))
+    return _violation("threshold-order", g, detail, n=g.n, **_below(est, ref))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -550,7 +552,7 @@ def _scan_range(
         counts["wiener_mask_pruned"] += no_pm - len(survivors)
         for mask in survivors:
             g = _graph_from_mask(n, int(mask), pairs)
-            violation = _check_threshold_order(g, n, ref=ref, counts=counts, admitted=True)
+            violation = _check_threshold_order(g, ref=ref, counts=counts, admitted=True)
             if violation is not None:
                 violations.append(violation)
         if progress is not None:
@@ -711,18 +713,16 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, in
     return Graph.from_rows(rows), (1 << s) - 1
 
 
-def check_probe_sample(
-    g: Graph, n: int, k: int, ref_root: CertifiedRoot | None = None
-) -> dict | None:
+def check_probe_sample(g: Graph, k: int, ref_root: CertifiedRoot | None = None) -> dict | None:
     """Predicate behind the probe suite (check "probe-order"): a valid sample
     must have radius strictly above the threshold root, unless it is the
     threshold graph itself. Returns a violation record or None."""
-    ref_root = family_quartic_root(n, k) if ref_root is None else ref_root
+    ref_root = family_quartic_root(g.n, k) if ref_root is None else ref_root
     est = distance_spectral_radius(g)
-    if est.lo > ref_root.hi or matches_clique_join(g, k, canonical_parts(n, k)):
+    if est.lo > ref_root.hi or matches_clique_join(g, k, canonical_parts(g.n, k)):
         return None
     detail = "valid sample with radius not above the threshold"
-    return _violation("probe-order", g, detail, n=n, k=k, **_below(est, ref_root))
+    return _violation("probe-order", g, detail, n=g.n, k=k, **_below(est, ref_root))
 
 
 def probe_extremal_bound(
@@ -781,7 +781,7 @@ def probe_extremal_bound(
         if not has_fractional_pm(g):
             rejected["fractional"] += 1
             continue
-        _record(report, check_probe_sample(g, n, k, ref_root))
+        _record(report, check_probe_sample(g, k, ref_root))
     report.extras["attempts"] = attempts
     report.extras["rejected"] = rejected
     report.seconds = time.perf_counter() - t0

@@ -214,20 +214,19 @@ def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
 # Tutte certificates
 
 
-def tutte_certificate(g: Graph, matching: Matching | None = None) -> TutteCertificate | None:
+def tutte_certificate(g: Graph) -> TutteCertificate | None:
     """Certificate that G has no perfect matching, or None if one exists.
 
-    The blossom search is rerun from every vertex that a maximum matching
-    leaves exposed. None of these searches can augment, so each returns the
+    The blossom search is rerun from every vertex that a maximum matching of
+    G leaves exposed. None of these searches can augment, so each returns the
     vertices joined to its root by an even alternating path; their union is
     D, and A = N(D) \\ D is the Gallai-Edmonds set, a Tutte set of maximum
     deficiency n - 2*nu (Lovasz & Plummer, Matching Theory, 1986, ch. 3).
     The deficiency is checked against the number of exposed vertices, which
-    by Tutte-Berge also proves the matching maximum. A caller that already
-    holds a maximum matching passes it as `matching`.
+    by Tutte-Berge also proves the matching maximum.
     """
     match = [-1] * g.n
-    for u, v in (max_matching(g) if matching is None else matching).edges:
+    for u, v in max_matching(g).edges:
         match[u] = v
         match[v] = u
     exposed = [v for v in range(g.n) if match[v] == -1]
@@ -287,10 +286,7 @@ def has_fractional_pm(g: Graph) -> bool:
     Equivalent to the bipartite double cover having a perfect matching, and to
     i(G-S) <= |S| for every vertex set S.
     """
-    if g.n == 0:
-        return True
-    match_left = _cover_matching(g)
-    return all(m != -1 for m in match_left)
+    return -1 not in _cover_matching(g)
 
 
 @dataclass(frozen=True)
@@ -309,19 +305,15 @@ class FractionalWitness:
         return all(s == 1 for s in sums)
 
 
-def fractional_pm_witness(g: Graph, cover: list[int] | None = None) -> FractionalWitness | None:
+def fractional_pm_witness(g: Graph) -> FractionalWitness | None:
     """Half-integral witness from a perfect matching of the double cover, or None.
 
     Edge uv gets weight (1/2) * [sigma(u) = v] + (1/2) * [sigma(v) = u], which
     lands in {1/2, 1}: matched pairs that agree in both directions give weight
     1, and the disagreeing ones decompose into even cycles of weight 1/2.
-    A caller that already holds the cover's maximum matching (left vertex ->
-    right vertex, as `_cover_matching` returns it) passes it as `cover`.
     """
-    if g.n == 0:
-        return FractionalWitness(())
-    match_left = _cover_matching(g) if cover is None else cover
-    if any(m == -1 for m in match_left):
+    match_left = _cover_matching(g)
+    if -1 in match_left:
         return None
     half = Fraction(1, 2)
     acc: dict[tuple[int, int], Fraction] = {}
@@ -331,17 +323,14 @@ def fractional_pm_witness(g: Graph, cover: list[int] | None = None) -> Fractiona
     return FractionalWitness(tuple(sorted(acc.items())))
 
 
-def fractional_violator(g: Graph, cover: list[int] | None = None) -> int | None:
+def fractional_violator(g: Graph) -> int | None:
     """Mask S with i(G-S) > |S| when no fractional perfect matching exists, else None.
 
     Extracted from a maximum cover matching by alternating reachability: from
     the unmatched left vertices, walk non-matching edges left to right and
     matching edges right to left; S is the set of reached right vertices.
-    `cover` is that matching when the caller already holds it.
     """
-    if g.n == 0:
-        return None
-    match_left = _cover_matching(g) if cover is None else cover
+    match_left = _cover_matching(g)
     exposed = [v for v in range(g.n) if match_left[v] == -1]
     if not exposed:
         return None

@@ -83,7 +83,7 @@ def test_criterion_2_radius_matches_quartic_root():
 def test_criterion_3_extremal_family_structure():
     t0 = time.perf_counter()
     reports = [
-        verify_extremal_family(n, k, include_exhaustive_oracles=(n == 14))
+        verify_extremal_family(n, k)
         for n, k in ((14, 1), (22, 2), (30, 3))
     ]
     ok = all(r.passed for r in reports)

@@ -14,6 +14,7 @@ import specmatch.matching
 from specmatch import (
     FamilySpec,
     barrier_family,
+    complete_graph,
     extremal_family,
     parse_edge_list,
     parse_graph6,
@@ -166,12 +167,18 @@ def _count_calls(monkeypatch, name, *modules):
     return calls
 
 
-def test_matching_runs_blossom_once(capsys, monkeypatch):
+def test_matching_runs_blossom_for_matching_and_certificate(capsys, monkeypatch):
+    # one search for the printed matching; the Tutte certificate derives its
+    # own maximum matching, so a graph without a perfect matching runs a second
     calls = _count_calls(monkeypatch, "max_matching", specmatch.matching, specmatch.cli)
+    code, out, _ = run(capsys, "matching", "--g6", write_graph6(complete_graph(14)))
+    assert code == 0
+    assert "perfect matching: yes" in out
+    assert len(calls) == 1
     code, out, _ = run(capsys, "matching", "--g6", write_graph6(extremal_family(14, 1)))
     assert code == 0
     assert "perfect matching: no" in out
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_matching_json_perfect(capsys):
@@ -207,7 +214,7 @@ def test_fractional_witness_and_violator(capsys):
 
 
 def test_fractional_solves_double_cover_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "_cover_matching", specmatch.matching, specmatch.cli)
+    calls = _count_calls(monkeypatch, "_cover_matching", specmatch.matching)
     # the star K_1 v 4K_1 has no fractional perfect matching
     code, out, _ = run(capsys, "fractional", "--g6", "D?{")
     assert code == 0
@@ -286,7 +293,7 @@ def test_quotient_accepts_width_below_double_precision_spacing(capsys):
 def test_verify_theorem13_family(capsys):
     code, out, _ = run(capsys, "verify", "theorem13-family", "--n", "14", "--k", "1")
     assert code == 0
-    assert out.startswith("suite theorem13-family: PASS (6 cases, 0 violations")
+    assert out.startswith("suite theorem13-family: PASS (7 cases, 0 violations")
     code, _, err = run(capsys, "verify", "theorem13-family", "--n", "14")
     assert code == 2 and "requires" in err
 

@@ -290,20 +290,26 @@ def test_k_connectivity_known_cases():
 
 
 def test_k_connectivity_against_oracle():
-    """Exhaustive deletion oracle over the set-based component count."""
+    """Exhaustive deletion oracle over the set-based component count, on
+    random graphs and on relabelled random graphs joined to 1-3 universal
+    vertices, which every searched separator contains."""
     from itertools import combinations
 
     rng = random.Random(23)
-    for _ in range(80):
-        n = rng.randrange(3, 9)
-        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
-        for k in range(1, 4):
-            expected = n > k and all(
+    graphs = [_random_graph(rng, rng.randrange(3, 9), rng.uniform(0.2, 0.9)) for _ in range(80)]
+    for _ in range(120):
+        g = join(complete_graph(rng.randrange(1, 4)), _random_graph(rng, rng.randrange(1, 8), rng.random()))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for g in graphs:
+        for k in range(1, 6):
+            expected = g.n > k and all(
                 len(_components_oracle(g, s)) <= 1
                 for size in range(k)
-                for s in combinations(range(n), size)
+                for s in combinations(range(g.n), size)
             )
-            assert is_k_connected(g, k) == expected
+            assert is_k_connected(g, k) == expected, (write_graph6(g), k)
 
 
 def test_structural_family_match():

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ def test_threshold_reference_is_the_graph_route_root():
 
 
 def test_verify_extremal_family_passes():
-    report = verify_extremal_family(14, 1, include_exhaustive_oracles=True)
+    report = verify_extremal_family(14, 1)
     assert report.passed
     assert report.cases == 7
     assert report.extras["certificate"] == {"vertices": [0], "odd_components": 3}
@@ -139,10 +140,25 @@ def test_verify_extremal_family_passes():
     root_hi = report.extras["quartic_root"][2]
     assert abs(est_lo - root_hi) < 1e-6
 
+    # the exhaustive oracles run up to their cap, n = 16, and not above it
+    report16 = verify_extremal_family(16, 1)
+    assert report16.passed and report16.cases == 7
+    assert report16.extras["exhaustive_deficiency"] == 2
     report22 = verify_extremal_family(22, 2)
     assert report22.passed
     assert report22.cases == 6
+    assert "exhaustive_deficiency" not in report22.extras
     assert report22.extras["certificate"]["vertices"] == [0, 1]
+
+
+def test_verify_extremal_family_every_admissible_order():
+    # k universal vertices settle both connectivity tests at once, even at k = 7
+    for k in range(1, 8):
+        for n in range(8 * k + 6, 65, 2):
+            t0 = time.perf_counter()
+            report = verify_extremal_family(n, k)
+            assert report.passed, (n, k)
+            assert time.perf_counter() - t0 < 1.0, (n, k)
 
 
 def test_verify_extremal_family_validation():
@@ -743,11 +759,11 @@ def test_probe_exploratory_finds_genuine_violations():
 
 def test_check_probe_sample_contract():
     ref = family_quartic_root(14, 1)
-    assert check_probe_sample(extremal_family(14, 1), 14, 1, ref) is None
+    assert check_probe_sample(extremal_family(14, 1), 1, ref) is None
     above = barrier_family(FamilySpec(14, 1, (1, 5, 7)))
-    assert check_probe_sample(above, 14, 1, ref) is None
+    assert check_probe_sample(above, 1, ref) is None
     below = complete_graph(14)
-    violation = check_probe_sample(below, 14, 1, ref)
+    violation = check_probe_sample(below, 1, ref)
     assert violation["check"] == "probe-order"
     assert violation["data"]["estimate"][1] < float(ref.lo)
     # K_14's radius is 13 exactly, far below the root, so the violation is certified
@@ -825,9 +841,9 @@ HEALTHY = {
         {"n": 22, "s": 2, "k": 1},
     ),
     # K_6 has a perfect matching, so it lies outside the theorem's hypotheses
-    "threshold-order": (complete_graph(6), {"n": 6}),
+    "threshold-order": (complete_graph(6), {}),
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
-    "probe-order": (_FRAC14, {"n": 14, "k": 1}),
+    "probe-order": (_FRAC14, {"k": 1}),
     "corollary-order": (_FRAC14, {"n": 14}),
     "edge-monotonicity": (_P4, {"edge": [0, 2]}),
     "family-ordering": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
@@ -847,11 +863,12 @@ FAILING = {
     "chain-equality": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 3, 9]}),
     "chain-canonical": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
     "chain-threshold": (extremal_family(22, 1), {"n": 22, "s": 2, "k": 1}),
-    # the order-4 threshold graph held against the order-6 threshold
-    "threshold-order": (join(complete_graph(1), empty_graph(3)), {"n": 6}),
+    # the star K_1 v 5K_1, held against the order-8 threshold by
+    # _foreign_threshold: at its own order no graph fails (Theorem 11)
+    "threshold-order": (join(complete_graph(1), empty_graph(5)), {}),
     # a reference bracket far above the graph's radius
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "reference": ["99", "99"]}),
-    "probe-order": (complete_graph(14), {"n": 14, "k": 1}),
+    "probe-order": (complete_graph(14), {"k": 1}),
     "corollary-order": (_PLAIN14, {"n": 14}),
     # the edge is already present, so "adding" it leaves the graph unchanged
     "edge-monotonicity": (_P4, {"edge": [0, 1]}),
@@ -864,8 +881,17 @@ def test_check_table_covers_every_witness_check():
     assert set(HEALTHY) == set(CHECKS) == set(FAILING)
 
 
+def _foreign_threshold(monkeypatch):
+    """Hold every threshold-order check against the threshold of two more
+    vertices; the check reads the order from its graph, so no graph fails
+    against its own order's threshold."""
+    real = harness.threshold_reference
+    monkeypatch.setattr(harness, "threshold_reference", lambda n: real(n + 2))
+
+
 @pytest.mark.parametrize("check", sorted(CHECKS))
-def test_check_table_replays(check):
+def test_check_table_replays(check, monkeypatch):
+    _foreign_threshold(monkeypatch)
     g, data = HEALTHY[check]
     assert CHECKS[check](g, **data) is None
     record = {"check": check, "witness": write_graph6(g), "detail": "", "data": data}
@@ -907,7 +933,7 @@ SUITE_RUNS = {
     "exact-connectivity": lambda: [verify_extremal_family(14, 1)],
     "fractional-pm": lambda: [verify_extremal_family(14, 1)],
     "tutte-certificate": lambda: [verify_extremal_family(14, 1)],
-    "exhaustive-oracles": lambda: [verify_extremal_family(14, 1, include_exhaustive_oracles=True)],
+    "exhaustive-oracles": lambda: [verify_extremal_family(14, 1)],
     "quartic-agreement": lambda: [verify_extremal_family(14, 1)],
     "wiener-closed-form": lambda: [verify_extremal_family(14, 1)],
     "radius-floor": lambda: [verify_extremal_family(14, 1)],
@@ -951,9 +977,10 @@ def test_lemma_suites_small_run():
     assert all(m > 0 for m in margins.values())
 
 
-def test_edge_monotonicity_replays_records_that_carry_tol():
+def test_edge_monotonicity_replays_records_that_carry_tol(monkeypatch):
     # records written while these checks took a tolerance carry "tol"; the
     # predicates take none and replay drops the key
+    _foreign_threshold(monkeypatch)
     for check in ("edge-monotonicity", "probe-order", "quartic-agreement", "threshold-order"):
         for (g, data), fails in ((HEALTHY[check], False), (FAILING[check], True)):
             record = {"check": check, "witness": write_graph6(g), "detail": "",
