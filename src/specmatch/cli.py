@@ -265,7 +265,7 @@ def _cmd_quotient(args) -> int:
 # every option at None, so one that the target does not read is rejected
 _VERIFY_OPTIONS = {
     "lemmas": {"seed": 0},
-    "theorem11": {"n": None, "chunk": "0/1", "threads": 1},
+    "theorem11": {"n": None, "chunk": "0/1"},
     "theorem13-family": {"n": None, "k": None},
     "ordering-chain": {"n": None, "s": None, "parts": None, "k": None, "exploratory": False},
     "probe13": {"n": None, "k": None, "trials": 1000, "seed": 0, "exploratory": False},
@@ -287,9 +287,8 @@ def _cmd_verify(args) -> int:
         report = harness.lemma_suites(seed=args.seed)
     elif target == "theorem11":
         progress = None if args.json else _progress_printer()
-        report = harness.pm_threshold_scan(
-            args.n, chunk=_parse_chunk(args.chunk), threads=args.threads, progress=progress
-        )
+        chunk = _parse_chunk(args.chunk)
+        report = harness.pm_threshold_scan(args.n, chunk=chunk, progress=progress)
     elif target == "theorem13-family":
         report = harness.verify_extremal_family(args.n, args.k)
     elif target == "ordering-chain":
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--chunk", help="'index/count' slice of an exhaustive scan")
     p.add_argument("--exploratory", action="store_true", help="allow n below the proven range")
     p.add_argument("--json", action="store_true")

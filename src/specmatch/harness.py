@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -71,7 +70,8 @@ from .quotient import (
 from .spectra import _distance_matrices, distance_spectral_radius, wiener_index
 
 _BLOCK_BITS = 18
-# stages of the threshold-order chain after the scan's table prefilter
+# stages of the threshold-order chain after the scan's table prefilter;
+# wiener_exact_pruned stays at 0 only because perfbench's Scan8 funnel sums it
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
 ENUMERATE_CAP = 8
 
@@ -211,9 +211,9 @@ def _check_exhaustive_oracles(g: Graph, deficiency=None) -> dict | None:
     return _violation("exhaustive-oracles", g, "subset oracles disagree", n=g.n)
 
 
-def _check_quartic_agreement(g: Graph, k: int, est=None, root=None) -> dict | None:
+def _check_quartic_agreement(g: Graph, k: int, est=None) -> dict | None:
     est = distance_spectral_radius(g) if est is None else est
-    root = family_quartic_root(g.n, k) if root is None else root
+    root = family_quartic_root(g.n, k)
     if est.lo <= root.hi and root.lo <= est.hi:
         return None
     detail = f"radius bracket [{est.lo}, {est.hi}] misses quartic root [{root.lo}, {root.hi}]"
@@ -229,13 +229,13 @@ def _check_wiener_closed_form(g: Graph, k: int, wiener=None) -> dict | None:
     return _violation("wiener-closed-form", g, f"W={wiener} != {closed_form}", n=n, k=k)
 
 
-def _check_radius_floor(g: Graph, k: int, wiener=None, root=None) -> dict | None:
+def _check_radius_floor(g: Graph, k: int, wiener=None) -> dict | None:
     """Exact certificates: the quartic negative at n+k+3 puts the root above
     it, and 2W/n > n+k+3 keeps the whole bisection bracket above as well."""
     n = g.n
     floor = n + k + 3
     wiener = wiener_index(g) if wiener is None else wiener
-    root = family_quartic_root(n, k) if root is None else root
+    root = family_quartic_root(n, k)
     if family_quartic(n, k)(floor) < 0 and Fraction(2 * wiener, n) > floor and root.lo > floor:
         return None
     return _violation("radius-floor", g, f"radius not certified above {floor}", n=n, k=k)
@@ -273,10 +273,10 @@ def verify_extremal_family(n: int, k: int) -> SuiteReport:
     root = family_quartic_root(n, k)
     report.extras["mu_estimate"] = [est.value, float(est.lo), float(est.hi)]
     report.extras["quartic_root"] = [root.value, float(root.lo), float(root.hi)]
-    _record(report, _check_quartic_agreement(g, k, est, root))
+    _record(report, _check_quartic_agreement(g, k, est))
 
     _record(report, _check_wiener_closed_form(g, k, est.wiener))
-    _record(report, _check_radius_floor(g, k, est.wiener, root))
+    _record(report, _check_radius_floor(g, k, est.wiener))
 
     report.seconds = time.perf_counter() - t0
     return report
@@ -399,9 +399,6 @@ def _check_threshold_order(g: Graph, ref=None, counts=None, admitted=False) -> d
         counts["extremal_matches"] += 1
         return None
     est = distance_spectral_radius(g)
-    if Fraction(2 * est.wiener, g.n) > ref.hi:
-        counts["wiener_exact_pruned"] += 1
-        return None
     counts["eigensolves"] += 1
     if est.lo > ref.hi:
         counts["strictly_greater"] += 1
@@ -506,28 +503,29 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _scan_range(
+    report: SuiteReport,
     n: int,
     start: int,
     stop: int,
-    ref: CertifiedRoot,
     m_max: int,
     progress: Callable[[int, int], None] | None = None,
-) -> dict:
-    """Scan edge-set masks in [start, stop): bit-packed table prefilters, then
-    the threshold-order chain for the connected no-matching survivors.
+) -> None:
+    """Scan edge-set masks in [start, stop) into `report`: bit-packed table
+    prefilters, then the threshold-order chain against threshold_reference(n)
+    for the connected no-matching survivors with more than m_max edges.
 
     A mask is (high << (2n-3)) + low, high the inner graph on {2..n-1} and low
     the 2n-3 pairs that touch {0, 1} (see _scan_tables). Blocks of whole rows,
     one per high value with 64 low values to a word, are decided by row gathers
     and word-wide ANDs and ORs; only a row cut by [start, stop) is popcounted."""
     pairs = list(itertools.combinations(range(n), 2))
+    ref = _scan_constants(n)[1]
     partition, conn_rows, conn_count, unions, byte_index, heavy_low, high_edges = _scan_tables(n)
     low_bits = 2 * n - 3
     row_len = 1 << low_bits
     block_rows = 1 << (_BLOCK_BITS - low_bits)
 
     counts = dict.fromkeys(("connected", "no_pm_connected", "wiener_mask_pruned", *_FUNNEL_KEYS), 0)
-    violations: list[dict] = []
     row_stop = -(-stop >> low_bits)
     for h0 in range(start >> low_bits, row_stop, block_rows):
         highs = np.arange(h0, min(h0 + block_rows, row_stop))
@@ -554,11 +552,11 @@ def _scan_range(
             g = _graph_from_mask(n, int(mask), pairs)
             violation = _check_threshold_order(g, ref=ref, counts=counts, admitted=True)
             if violation is not None:
-                violations.append(violation)
+                report.violations.append(violation)
         if progress is not None:
             progress(min((h0 + highs.size) << low_bits, stop) - start, stop - start)
-    counts["violations"] = violations
-    return counts
+    report.cases += counts["connected"]
+    report.extras.update(counts)
 
 
 @functools.cache
@@ -580,50 +578,35 @@ def pm_threshold_scan(
     """Theorem 11 at even n <= 64: every connected graph of order n with no
     perfect matching has radius strictly above the threshold graph, or is it.
 
-    n <= ENUMERATE_CAP scans every labeled graph (chunkable, threaded;
-    `progress` gets the masks done). Larger n, in one chunk and thread, reduce
-    to finitely many graphs. Saturating a Tutte set S (o(G - S) >= |S| + 2),
-    each component of G - S and every S-to-rest pair, folding even components
-    into an odd one and merging surplus odd parts three at a time gives a
-    spanning H = K_s v (K_{n1} u ... u K_{n_{s+2}}), s >= 1, n_i odd, without
-    a perfect matching (Lovasz & Plummer, Matching Theory, 1986). If G != H,
-    D(G) >= D(H) and unequal, so mu(G) > mu(H) by Perron-Frobenius. Each H is
-    decided exactly on its quotient by _minor_certificate (Berman & Plemmons,
-    1994, ch. 6) against threshold_reference(n), itself the root of the
-    threshold spec's quotient. A spec's graph is built only to record it.
+    The scan runs in one process, so `threads` takes only 1. n <= ENUMERATE_CAP
+    scans every labeled graph (chunkable; `progress` gets the masks done).
+    Larger n reduce to finitely many graphs. Saturating a Tutte set S
+    (o(G - S) >= |S| + 2), each component of G - S and every S-to-rest pair,
+    folding even components into an odd one and merging surplus odd parts
+    three at a time gives a spanning H = K_s v (K_{n1} u ... u K_{n_{s+2}}),
+    s >= 1, n_i odd, without a perfect matching (Lovasz & Plummer, Matching
+    Theory, 1986). If G != H, D(G) >= D(H) and unequal, so mu(G) > mu(H) by
+    Perron-Frobenius. Each H is decided exactly on its quotient by
+    _minor_certificate (Berman & Plemmons, 1994, ch. 6) against
+    threshold_reference(n), itself the root of the threshold spec's quotient.
+    A spec's graph is built only to record it.
     """
     if n < 4 or n % 2 or n > VERTEX_CAP:
         raise ParameterError(f"even order 4 <= n <= {VERTEX_CAP} required, got {n}")
-    if threads < 1:
-        raise ParameterError(f"need threads >= 1, got {threads}")
+    if threads != 1:
+        raise ParameterError(f"the scan runs in one process, got threads={threads}")
     t0 = time.perf_counter()
     ref_g6, ref_root, m_max = _scan_constants(n)
     report = SuiteReport("theorem11", {"n": n, "chunk": f"{chunk[0]}/{chunk[1]}"})
     report.extras.update(reference_g6=ref_g6, reference_mu=[float(ref_root.lo), float(ref_root.hi)])
     if n > ENUMERATE_CAP:
-        if tuple(chunk) != (0, 1) or threads != 1:
-            raise ParameterError("the saturated-graph reduction runs as one chunk in one thread")
+        if tuple(chunk) != (0, 1):
+            raise ParameterError("the saturated-graph reduction runs as one chunk")
         _saturated_order_scan(report, n, ref_root)
     else:
         start, stop = _chunk_range(1 << (n * (n - 1) // 2), chunk)
-        threads = max(1, min(threads, len(os.sched_getaffinity(0)), stop - start))
-        edges = [start + (stop - start) * i // threads for i in range(threads + 1)]
-        args = [(n, a, b, ref_root, m_max) for a, b in zip(edges, edges[1:]) if a < b]
-        if len(args) > 1:
-            import multiprocessing as mp
-
-            _scan_tables(n)  # built once here, inherited by the forked workers
-            with mp.get_context("fork").Pool(len(args)) as pool:
-                results = pool.starmap(_scan_range, args)
-        else:
-            results = [_scan_range(n, start, stop, ref_root, m_max, progress)]
-        for res in results:
-            report.violations.extend(res.pop("violations"))
-            for key, val in res.items():
-                report.extras[key] = report.extras.get(key, 0) + val
-        report.cases = report.extras["connected"]
-        report.extras["masks_scanned"] = stop - start
-        report.extras["edge_cutoff"] = m_max
+        _scan_range(report, n, start, stop, m_max, progress)
+        report.extras.update(masks_scanned=stop - start, edge_cutoff=m_max)
     report.seconds = time.perf_counter() - t0
     return report
 

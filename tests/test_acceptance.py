@@ -4,7 +4,6 @@ Each test prints a single "ACCEPTANCE <k>: PASS/FAIL" line (visible under
 pytest -s); the assertion carries the same verdict.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -110,8 +109,7 @@ def test_criterion_4_exhaustive_small_order_scan():
 
 def test_criterion_4_exhaustive_scan_n8():
     t0 = time.perf_counter()
-    threads = os.cpu_count() or 1
-    report = pm_threshold_scan(8, threads=threads)
+    report = pm_threshold_scan(8)
     # 251548592 is the labeled connected graph count at n=8; the 56 threshold
     # copies are the C(8,3) hub choices of K_3 v 5K_1
     ok = (

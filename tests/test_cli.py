@@ -251,7 +251,7 @@ def test_json_params_record_every_resolved_option(capsys):
     argv = ("verify", "theorem11", "--n", "8", "--chunk", "3/64", "--json")
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0
-    assert payload["params"] == {"target": "theorem11", "n": 8, "chunk": "3/64", "threads": 1}
+    assert payload["params"] == {"target": "theorem11", "n": 8, "chunk": "3/64"}
     code, payload, _ = run_json(capsys, "verify", "lemmas", "--seed", "2", "--json")
     assert payload["params"] == {"target": "lemmas", "seed": 2}
     code, payload, _ = run_json(capsys, "quotient", "--n", "14", "--s", "1", "--json")
@@ -409,10 +409,10 @@ def test_verify_corollary14_rejects_tolerance(capsys):
 
 
 def test_verify_theorem11_reduction_rejects_chunks(capsys):
-    for argv in (("--n", "10", "--chunk", "1/4"), ("--n", "10", "--threads", "2")):
-        code, out, err = run(capsys, "verify", "theorem11", *argv)
-        assert code == 2 and "one chunk" in err and out == ""
-        assert "Traceback" not in err
+    code, out, err = run(capsys, "verify", "theorem11", "--n", "10", "--chunk", "1/4")
+    assert code == 2 and "one chunk" in err and out == ""
+    assert "Traceback" not in err
+    _assert_no_threads_option(capsys, "--n", "10", "--threads", "2")
     for n in ("11", "66"):
         code, out, err = run(capsys, "verify", "theorem11", "--n", n)
         assert code == 2 and "4 <= n <= 64" in err and out == ""
@@ -448,23 +448,27 @@ def test_verify_theorem11_n64(capsys):
     assert result["extras"]["certified_above"] == result["cases"] - 1
 
 
+def _assert_no_threads_option(capsys, *argv):
+    # the scan runs in one process: argparse refuses --threads with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem11", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --threads" in err and "Traceback" not in err
+
+
 def test_verify_theorem11_threads_on_an_empty_chunk(capsys):
-    # 64 masks at n = 4 leave chunk 0/100 empty: no worker pool is started
-    argv = ("verify", "theorem11", "--n", "4", "--chunk", "0/100", "--json")
-    code, single, _ = run_json(capsys, *argv)
-    code2, threaded, err = run_json(capsys, *argv, "--threads", "2")
-    assert code == code2 == 0 and "Traceback" not in err
-    assert (single["params"]["threads"], threaded["params"]["threads"]) == (1, 2)
-    for payload in (single, threaded):
-        payload["result"].pop("seconds")
-        payload["params"].pop("threads")
-    assert threaded == single and single["result"]["extras"]["masks_scanned"] == 0
+    # 64 masks at n = 4 leave chunk 0/100 empty; --threads is no option there either
+    argv = ("--n", "4", "--chunk", "0/100")
+    code, payload, err = run_json(capsys, "verify", "theorem11", *argv, "--json")
+    assert code == 0 and "Traceback" not in err
+    assert payload["result"]["extras"]["masks_scanned"] == 0
+    _assert_no_threads_option(capsys, *argv, "--threads", "2")
 
 
 def test_verify_theorem11_rejects_thread_counts_below_one(capsys):
     for threads in ("0", "-2"):
-        code, out, err = run(capsys, "verify", "theorem11", "--n", "4", "--threads", threads)
-        assert code == 2 and "threads >= 1" in err and out == ""
+        _assert_no_threads_option(capsys, "--n", "4", "--threads", threads)
 
 
 def test_verify_rejects_options_the_target_does_not_read(capsys):

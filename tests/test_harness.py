@@ -4,11 +4,9 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,7 +281,7 @@ def test_scan_n4_chunks_partition_the_work():
 
 
 def test_scan_n6_exhaustive_counts():
-    report = pm_threshold_scan(6, threads=2)
+    report = pm_threshold_scan(6)
     assert report.passed
     assert report.cases == 26704
     assert report.extras["no_pm_connected"] == 2406
@@ -351,17 +349,18 @@ def test_packed_scan_ranges_cut_inside_words_match_per_graph_counts():
     # n = 8 rows are 8192 masks in 128 words: ranges that start or stop 1, 63,
     # 64 or 65 masks into a row, and one inside a single word, on rows from a
     # sparse to the complete inner graph
-    _, root, m_max = harness._scan_constants(8)
+    m_max = harness._scan_constants(8)[2]
     no_pm = light = 0
     for row in (5, 12345, 20000, (1 << 15) - 1):
         base = row << 13
         ranges = [(base + off, base + off + 200) for off in (1, 63, 64, 65)]
         ranges += [(base + off - 200, base + off) for off in (1, 63, 64, 65)]
         for start, stop in ranges + [(base + 70, base + 120)]:
-            got = harness._scan_range(8, start, stop, root, m_max)
-            assert got["violations"] == []
+            got = SuiteReport("theorem11", {})
+            harness._scan_range(got, 8, start, stop, m_max)
+            assert got.violations == []
             expected = _range_counts(8, start, stop, m_max)
-            assert (got["connected"], got["no_pm_connected"], got["wiener_mask_pruned"]) == expected
+            assert _scan_counts(got) == expected
             no_pm, light = no_pm + expected[1], light + expected[2]
     assert 0 < light < no_pm  # both the mask prune and the chain are reached
 
@@ -370,13 +369,13 @@ def test_packed_scan_edge_cutoffs_clip_at_both_ends():
     # heavy_low is indexed by the cutoff minus the inner edge count, clipped
     # to 0..2n-3: the inner graph 20000 has 5 edges, so these cutoffs index
     # below, inside and above the table
-    _, root, _ = harness._scan_constants(8)
     start = (20000 << 13) + 63
     for cutoff in (-1, 3, 12, 25):
-        got = harness._scan_range(8, start, start + 200, root, cutoff)
-        assert got["violations"] == []
+        got = SuiteReport("theorem11", {})
+        harness._scan_range(got, 8, start, start + 200, cutoff)
+        assert got.violations == []
         expected = _range_counts(8, start, start + 200, cutoff)
-        assert (got["connected"], got["no_pm_connected"], got["wiener_mask_pruned"]) == expected
+        assert _scan_counts(got) == expected
 
 
 def test_scan_n4_single_mask_chunks_match_per_graph_counts():
@@ -407,69 +406,13 @@ def test_packed_scan_tables_have_zero_padding():
         assert sizes.tolist() == [int(b.sum()) for b in np.unpackbits(connected.view(np.uint8), axis=1)]
 
 
-def test_scan_threads_give_the_single_process_report():
-    # the n=8 chunk holds 3 threshold copies and 42 eigensolved graphs; two
-    # threads split on a table row boundary, three split mid-row. The n=4
-    # chunks, empty and one mask, leave fewer than two ranges to fork
-    for n, chunk in ((6, (0, 1)), (8, (15, 1024)), (4, (0, 100)), (4, (5, 64))):
-        single = pm_threshold_scan(n, chunk=chunk, threads=1)
-        for threads in (2, 3):
-            forked = pm_threshold_scan(n, chunk=chunk, threads=threads)
-            assert forked.to_dict(include_timing=False) == single.to_dict(include_timing=False)
-
-
-def _inline_pool(monkeypatch, cpus: int) -> tuple[list[int], list[int]]:
-    """Stand in for the fork pool on `cpus` usable CPUs: each pool's size and
-    range count are recorded and every range runs here, so no worker process
-    is started."""
-    sizes, ranges = [], []
-
-    class InlinePool:
-        def __init__(self, workers):
-            sizes.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            ranges.append(len(args))
-            return list(itertools.starmap(fn, args))
-
-    class InlineContext:
-        Pool = InlinePool
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext())
-    return sizes, ranges
-
-
-def test_scan_pool_is_capped_at_the_usable_cpus(monkeypatch):
-    single = pm_threshold_scan(6, threads=1)
-    sizes, ranges = _inline_pool(monkeypatch, 2)
-    report = pm_threshold_scan(6, threads=1000)
-    # the work splits into one range per worker, not one per requested thread
-    assert sizes == [2] and ranges == [2]
-    assert report.to_dict(include_timing=False) == single.to_dict(include_timing=False)
-
-
-def test_scan_threads_are_clamped_before_any_range_is_built(monkeypatch):
-    single = pm_threshold_scan(4, threads=1).to_dict(include_timing=False)
-    for cpus in (1, 2, 3):
-        sizes, ranges = _inline_pool(monkeypatch, cpus)
-        tracemalloc.start()
-        try:
-            report = pm_threshold_scan(4, threads=10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.to_dict(include_timing=False) == single
-        # one CPU runs in process; never more workers than usable CPUs
-        assert sizes == ranges == ([cpus] if cpus > 1 else [])
-        # a list of 10^6 range edges would hold 8 MB of pointers alone
-        assert peak < 1 << 20, peak
+def test_scan_runs_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity is Linux-only: the scan must not reach for it
+    runs = ((4, (0, 1)), (6, (0, 1)), (8, (15, 1024)))
+    expected = [pm_threshold_scan(n, chunk=c).to_dict(include_timing=False) for n, c in runs]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for (n, chunk), report in zip(runs, expected):
+        assert pm_threshold_scan(n, chunk=chunk).to_dict(include_timing=False) == report
 
 
 def test_scan_progress_counts_up_to_the_masks_scanned():
@@ -727,21 +670,19 @@ def test_lemma_and_identity_suites_reject_counts_that_check_nothing():
     assert small.passed and small.cases == 1
 
 
-def test_reduction_scan_rejects_chunks_and_threads():
-    # the reduction above n = 8 decides every spec in one pass: a chunk or a
-    # thread count would split nothing
+def test_reduction_scan_rejects_chunks():
+    # the reduction above n = 8 decides every spec in one pass: a chunk would
+    # split nothing
     with pytest.raises(ParameterError, match="one chunk"):
         pm_threshold_scan(10, chunk=(1, 4))
-    with pytest.raises(ParameterError, match="one chunk"):
-        pm_threshold_scan(10, threads=2)
 
 
-def test_scan_rejects_thread_counts_below_one():
-    for threads in (0, -2):
-        with pytest.raises(ParameterError, match="threads >= 1"):
-            pm_threshold_scan(4, threads=threads)
-        with pytest.raises(ParameterError, match="threads >= 1"):
-            pm_threshold_scan(10, threads=threads)
+def test_scan_rejects_thread_counts_other_than_one():
+    # both the exhaustive scan and the reduction run in one process
+    for n in (4, 8, 10):
+        for threads in (0, 2, -2):
+            with pytest.raises(ParameterError, match="one process"):
+                pm_threshold_scan(n, threads=threads)
 
 
 def test_probe_exploratory_finds_genuine_violations():
