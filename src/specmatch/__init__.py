@@ -37,17 +37,17 @@ from .graphs import (
 )
 from .matching import (
     FractionalWitness,
+    IsolationCertificate,
     Matching,
     TutteCertificate,
-    fractional_pm_witness,
-    fractional_violator,
+    fractional_certificate,
     has_fractional_pm,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
     has_pm_bruteforce,
+    matching_certificate,
     matching_number,
     max_matching,
-    tutte_certificate,
     tutte_deficiency_bruteforce,
 )
 from .spectra import (

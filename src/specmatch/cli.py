@@ -23,19 +23,12 @@ from .graphs import (
     extremal_family,
     extremal_partition,
     family_partition,
-    isolated_count,
     parse_edge_list,
     parse_graph6,
-    vertices_from_mask,
     write_edge_list,
     write_graph6,
 )
-from .matching import (
-    fractional_pm_witness,
-    fractional_violator,
-    max_matching,
-    tutte_certificate,
-)
+from .matching import FractionalWitness, fractional_certificate, matching_certificate
 from .quotient import (
     DEFAULT_ROOT_WIDTH,
     char_poly,
@@ -172,8 +165,8 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_matching(args) -> int:
     g = _load_graph(args)
-    matching = max_matching(g)
-    perfect = g.n % 2 == 0 and 2 * len(matching) == g.n
+    matching, cert = matching_certificate(g)
+    perfect = cert is None
     result = {
         "order": g.n,
         "matching_number": len(matching),
@@ -181,7 +174,6 @@ def _cmd_matching(args) -> int:
         "matching": sorted(matching.edges),
     }
     if not perfect:
-        cert = tutte_certificate(g)
         result["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,
@@ -204,21 +196,21 @@ def _cmd_matching(args) -> int:
 
 def _cmd_fractional(args) -> int:
     g = _load_graph(args)
-    violator = fractional_violator(g)
-    witness = fractional_pm_witness(g) if violator is None else None
-    result: dict = {"order": g.n, "fractional_perfect_matching": witness is not None}
-    if witness is not None:
-        result["weights"] = {f"{u}-{v}": str(w) for (u, v), w in witness.weights}
+    cert = fractional_certificate(g)
+    fractional = isinstance(cert, FractionalWitness)
+    result: dict = {"order": g.n, "fractional_perfect_matching": fractional}
+    if fractional:
+        result["weights"] = {f"{u}-{v}": str(w) for (u, v), w in cert.weights}
     else:
-        result["violating_set"] = vertices_from_mask(violator)
-        result["isolated"] = isolated_count(g, violator)
+        result["violating_set"] = cert.vertices()
+        result["isolated"] = cert.isolated
     if args.json:
         _emit_json("fractional", {}, result)
     else:
         print(f"order: {g.n}")
-        if witness is not None:
+        if fractional:
             print("fractional perfect matching: yes")
-            for (u, v), w in witness.weights:
+            for (u, v), w in cert.weights:
                 print(f"  {u}-{v}: {w}")
         else:
             print("fractional perfect matching: no")

@@ -106,7 +106,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()

@@ -50,7 +50,7 @@ from .matching import (
     has_fractional_pm_exhaustive,
     has_perfect_matching,
     has_pm_bruteforce,
-    tutte_certificate,
+    matching_certificate,
     tutte_deficiency_bruteforce,
 )
 from .quotient import (
@@ -187,11 +187,11 @@ def _check_fractional_pm(g: Graph) -> dict | None:
     return _violation("fractional-pm", g, "no fractional perfect matching", n=g.n)
 
 
-def _check_tutte_certificate(g: Graph, k: int, cert=None) -> dict | None:
+def _check_tutte_set(g: Graph, k: int, cert=None) -> dict | None:
     """The k-vertex hub is the Gallai-Edmonds Tutte set, leaving k+2 odd components."""
     # None is also the answer for a graph with a perfect matching: searching
     # again then only repeats a check that fails either way
-    cert = tutte_certificate(g) if cert is None else cert
+    cert = matching_certificate(g)[1] if cert is None else cert
     if cert is None:
         detail = f"expected certificate, got {cert}"
     elif cert.vertex_mask != (1 << k) - 1 or cert.odd_count != k + 2:
@@ -256,13 +256,13 @@ def verify_extremal_family(n: int, k: int) -> SuiteReport:
 
     _record(report, _check_exact_connectivity(g, k))
     _record(report, _check_fractional_pm(g))
-    cert = tutte_certificate(g)
+    cert = matching_certificate(g)[1]
     if cert is not None:
         report.extras["certificate"] = {
             "vertices": cert.vertices(),
             "odd_components": cert.odd_count,
         }
-    _record(report, _check_tutte_certificate(g, k, cert))
+    _record(report, _check_tutte_set(g, k, cert))
 
     if n <= _BRUTE_CAP:
         deficiency, _ = tutte_deficiency_bruteforce(g)
@@ -1020,7 +1020,7 @@ def enumerate_graphs(
 CHECKS: dict[str, Callable[..., dict | None]] = {
     "exact-connectivity": _check_exact_connectivity,
     "fractional-pm": _check_fractional_pm,
-    "tutte-certificate": _check_tutte_certificate,
+    "tutte-certificate": _check_tutte_set,
     "exhaustive-oracles": _check_exhaustive_oracles,
     "quartic-agreement": _check_quartic_agreement,
     "wiener-closed-form": _check_wiener_closed_form,

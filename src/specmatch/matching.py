@@ -37,7 +37,7 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def is_valid_for(self, g: Graph) -> bool:
+    def holds_for(self, g: Graph) -> bool:
         seen = 0
         for u, v in self.edges:
             if not g.has_edge(u, v):
@@ -68,7 +68,25 @@ class TutteCertificate:
         return vertices_from_mask(self.vertex_mask)
 
     def holds_for(self, g: Graph) -> bool:
+        if self.vertex_mask & ~g.full_mask:  # a vertex outside 0..n-1
+            return False
         return odd_components(g, self.vertex_mask) == self.odd_count and self.deficiency >= 1
+
+
+@dataclass(frozen=True)
+class IsolationCertificate:
+    """Vertex set S (as a mask) with i(G-S) > |S|; proof that no fractional perfect matching exists."""
+
+    vertex_mask: int
+    isolated: int
+
+    def vertices(self) -> list[int]:
+        return vertices_from_mask(self.vertex_mask)
+
+    def holds_for(self, g: Graph) -> bool:
+        if self.vertex_mask & ~g.full_mask:  # a vertex outside 0..n-1
+            return False
+        return isolated_count(g, self.vertex_mask) == self.isolated > self.vertex_mask.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +232,26 @@ def tutte_deficiency_bruteforce(g: Graph) -> tuple[int, int]:
 # Tutte certificates
 
 
-def tutte_certificate(g: Graph) -> TutteCertificate | None:
-    """Certificate that G has no perfect matching, or None if one exists.
+def matching_certificate(g: Graph) -> tuple[Matching, TutteCertificate | None]:
+    """A maximum matching of G, and a certificate that G has no perfect
+    matching, or None if the matching is perfect.
 
-    The blossom search is rerun from every vertex that a maximum matching of
-    G leaves exposed. None of these searches can augment, so each returns the
+    The blossom search is rerun from every vertex that the matching leaves
+    exposed. None of these searches can augment, so each returns the
     vertices joined to its root by an even alternating path; their union is
     D, and A = N(D) \\ D is the Gallai-Edmonds set, a Tutte set of maximum
     deficiency n - 2*nu (Lovasz & Plummer, Matching Theory, 1986, ch. 3).
     The deficiency is checked against the number of exposed vertices, which
     by Tutte-Berge also proves the matching maximum.
     """
+    matching = max_matching(g)
     match = [-1] * g.n
-    for u, v in max_matching(g).edges:
+    for u, v in matching.edges:
         match[u] = v
         match[v] = u
     exposed = [v for v in range(g.n) if match[v] == -1]
     if not exposed:
-        return None
+        return matching, None
     even = 0
     reached = 0
     for root in exposed:
@@ -245,15 +265,16 @@ def tutte_certificate(g: Graph) -> TutteCertificate | None:
     cert = TutteCertificate(tutte_set, odd_components(g, tutte_set))
     if cert.deficiency != len(exposed):
         raise RuntimeError("Gallai-Edmonds set is not Tutte-Berge tight")
-    return cert
+    return matching, cert
 
 
 # ---------------------------------------------------------------------------
 # fractional perfect matchings via the bipartite double cover
 
 
-def _cover_matching(g: Graph) -> list[int]:
-    """Maximum matching of the double cover (left u -- right v iff uv in E), Kuhn's algorithm."""
+def _cover_matching(g: Graph) -> tuple[list[int], list[int]]:
+    """Maximum matching of the double cover (left u -- right v iff uv in E) by
+    Kuhn's algorithm, as the lists (match_left, match_right), -1 if exposed."""
     n = g.n
     rows = g.rows
     match_right = [-1] * n  # right vertex -> left vertex
@@ -277,7 +298,7 @@ def _cover_matching(g: Graph) -> list[int]:
         if match_left[v] == -1:
             visited = 0
             try_augment(v)
-    return match_left
+    return match_left, match_right
 
 
 def has_fractional_pm(g: Graph) -> bool:
@@ -286,7 +307,7 @@ def has_fractional_pm(g: Graph) -> bool:
     Equivalent to the bipartite double cover having a perfect matching, and to
     i(G-S) <= |S| for every vertex set S.
     """
-    return -1 not in _cover_matching(g)
+    return -1 not in _cover_matching(g)[0]
 
 
 @dataclass(frozen=True)
@@ -305,58 +326,36 @@ class FractionalWitness:
         return all(s == 1 for s in sums)
 
 
-def fractional_pm_witness(g: Graph) -> FractionalWitness | None:
-    """Half-integral witness from a perfect matching of the double cover, or None.
+def fractional_certificate(g: Graph) -> FractionalWitness | IsolationCertificate:
+    """Half-integral witness of a fractional perfect matching, or a set S with
+    i(G-S) > |S| proving there is none, from one matching of the double cover.
 
-    Edge uv gets weight (1/2) * [sigma(u) = v] + (1/2) * [sigma(v) = u], which
-    lands in {1/2, 1}: matched pairs that agree in both directions give weight
-    1, and the disagreeing ones decompose into even cycles of weight 1/2.
+    A perfect cover matching sigma gives edge uv the weight (1/2) * [sigma(u) = v]
+    + (1/2) * [sigma(v) = u], in {1/2, 1}: pairs that agree in both directions
+    give 1, and the rest decompose into even cycles of weight 1/2. Otherwise S
+    is the set of right vertices reached from the exposed left ones along
+    alternating paths, and the reached left vertices outside S are isolated in
+    G-S: by Koenig duality more than |S| of them. A right vertex is reached once
+    and its partner is never exposed, so no left vertex is pushed twice.
     """
-    match_left = _cover_matching(g)
-    if -1 in match_left:
-        return None
-    half = Fraction(1, 2)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for v, u in enumerate(match_left):
-        key = (min(u, v), max(u, v))
-        acc[key] = acc.get(key, Fraction(0)) + half
-    return FractionalWitness(tuple(sorted(acc.items())))
-
-
-def fractional_violator(g: Graph) -> int | None:
-    """Mask S with i(G-S) > |S| when no fractional perfect matching exists, else None.
-
-    Extracted from a maximum cover matching by alternating reachability: from
-    the unmatched left vertices, walk non-matching edges left to right and
-    matching edges right to left; S is the set of reached right vertices.
-    """
-    match_left = _cover_matching(g)
+    match_left, match_right = _cover_matching(g)
     exposed = [v for v in range(g.n) if match_left[v] == -1]
     if not exposed:
-        return None
-    match_right = [-1] * g.n
-    for v, u in enumerate(match_left):
-        if u != -1:
-            match_right[u] = v
-    left_reached = 0
+        edges = sorted({(min(u, v), max(u, v)) for v, u in enumerate(match_left)})
+        weights = (Fraction((match_left[u] == v) + (match_left[v] == u), 2) for u, v in edges)
+        return FractionalWitness(tuple(zip(edges, weights)))
     right_reached = 0
-    stack = list(exposed)
-    for v in exposed:
-        left_reached |= 1 << v
+    stack = exposed
     while stack:
         v = stack.pop()
         for u in _iter_bits(g.rows[v] & ~right_reached):
             right_reached |= 1 << u
-            w = match_right[u]
-            if w != -1 and not left_reached >> w & 1:
-                left_reached |= 1 << w
-                stack.append(w)
-    # reached left vertices outside S are isolated in G-S; Koenig duality
-    # guarantees strictly more of them than |S|
-    violating = right_reached
-    if isolated_count(g, violating) <= violating.bit_count():
+            if match_right[u] != -1:
+                stack.append(match_right[u])
+    cert = IsolationCertificate(right_reached, isolated_count(g, right_reached))
+    if cert.isolated <= right_reached.bit_count():
         raise RuntimeError("alternating-path set does not violate i(G-S) <= |S|")
-    return violating
+    return cert
 
 
 def has_fractional_pm_exhaustive(g: Graph) -> bool:

@@ -207,23 +207,23 @@ def _saturated_root(s: int, parts: tuple[int, ...], width=DEFAULT_ROOT_WIDTH) ->
     over [2W/n, max transmission] once per process, multiset of parts and
     width, however a call spells them. A row sum of the quotient is each
     cell's transmission, and 2W/n is their mean."""
-    return _isolate_saturated_root(s, tuple(sorted(parts)), width)
+    # a Fraction key would cost a Fraction.__hash__ on every cached lookup
+    return _isolate_saturated_root(s, tuple(sorted(parts)), *width.as_integer_ratio())
 
 
 @functools.cache
-def _isolate_saturated_root(s: int, parts: tuple[int, ...], width) -> CertifiedRoot:
+def _isolate_saturated_root(s: int, parts: tuple[int, ...], num: int, den: int) -> CertifiedRoot:
     if s < 1 or min(parts) < 1:
         raise ParameterError(f"need hub size s >= 1 and parts >= 1, got s={s}, parts={parts}")
-    if width <= 0:
-        raise ParameterError(f"root width must be positive, got {width}")
+    if num <= 0:
+        raise ParameterError(f"root width must be positive, got {Fraction(num, den)}")
     rows = _saturated_quotient(s, parts)
     sizes = [s] + rows[0][1:]  # the hub is at distance 1 from every other cell
     sums = [sum(row) for row in rows]
     # the bracket is [a/v, b/v] in integers; each halving doubles v
     v = sum(sizes)
     a, b = sum(size * t for size, t in zip(sizes, sums)), max(sums) * v
-    width = Fraction(width)
-    while (b - a) * width.denominator > width.numerator * v:
+    while (b - a) * den > num * v:
         mid, a, b, v = a + b, 2 * a, 2 * b, 2 * v
         if _minor_certificate(rows, Fraction(mid, v)) is None:
             b = mid  # rho <= mid

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import specmatch
-import specmatch.cli
 import specmatch.matching
 from specmatch import (
     FamilySpec,
@@ -168,9 +167,9 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_matching_runs_blossom_for_matching_and_certificate(capsys, monkeypatch):
-    # one search for the printed matching; the Tutte certificate derives its
-    # own maximum matching, so a graph without a perfect matching runs a second
-    calls = _count_calls(monkeypatch, "max_matching", specmatch.matching, specmatch.cli)
+    # one search gives the printed matching and, without a perfect matching,
+    # the Tutte certificate
+    calls = _count_calls(monkeypatch, "max_matching", specmatch.matching)
     code, out, _ = run(capsys, "matching", "--g6", write_graph6(complete_graph(14)))
     assert code == 0
     assert "perfect matching: yes" in out
@@ -178,7 +177,7 @@ def test_matching_runs_blossom_for_matching_and_certificate(capsys, monkeypatch)
     code, out, _ = run(capsys, "matching", "--g6", write_graph6(extremal_family(14, 1)))
     assert code == 0
     assert "perfect matching: no" in out
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_matching_json_perfect(capsys):
@@ -219,6 +218,12 @@ def test_fractional_solves_double_cover_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "fractional", "--g6", "D?{")
     assert code == 0
     assert "violating set: [4]" in out
+    assert len(calls) == 1
+    # C5 has one, and its witness comes from the same single cover matching
+    calls.clear()
+    code, out, _ = run(capsys, "fractional", "--g6", "DqK")
+    assert code == 0
+    assert "fractional perfect matching: yes" in out
     assert len(calls) == 1
 
 

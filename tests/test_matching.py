@@ -8,23 +8,25 @@ import pytest
 from specmatch import (
     FractionalWitness,
     Graph,
+    IsolationCertificate,
+    Matching,
     ParameterError,
+    TutteCertificate,
     complete_graph,
     empty_graph,
     enumerate_graphs,
     extremal_family,
-    fractional_pm_witness,
-    fractional_violator,
+    fractional_certificate,
     has_fractional_pm,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
     has_pm_bruteforce,
     isolated_count,
     join,
+    matching_certificate,
     matching_number,
     max_matching,
     odd_components,
-    tutte_certificate,
     tutte_deficiency_bruteforce,
     write_graph6,
 )
@@ -63,16 +65,28 @@ def test_blossom_needs_odd_cycle_contraction():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
     m = max_matching(g)
     assert len(m) == 3
-    assert m.is_valid_for(g)
+    assert m.holds_for(g)
     assert {v for edge in m.edges for v in edge} == set(range(6))
 
 
 def test_matching_validity_and_mask():
     g = complete_graph(5)
     m = max_matching(g)
-    assert m.is_valid_for(g)
+    assert m.holds_for(g)
     assert len({v for edge in m.edges for v in edge}) == 2 * len(m)
-    assert not m.is_valid_for(empty_graph(5))
+    assert not m.holds_for(empty_graph(5))
+
+
+def _checked_matching_certificate(g):
+    # the matching and the Tutte set both hold, and Tutte-Berge ties them
+    m, cert = matching_certificate(g)
+    assert m.holds_for(g)
+    if cert is None:
+        assert 2 * len(m) == g.n
+    else:
+        assert cert.holds_for(g)
+        assert cert.deficiency == g.n - 2 * len(m)
+    return m, cert
 
 
 def test_blossom_against_bruteforce():
@@ -81,9 +95,10 @@ def test_blossom_against_bruteforce():
         n = rng.randrange(1, 13)
         g = _random_graph(rng, n, rng.uniform(0.05, 0.95))
         m = max_matching(g)
-        assert m.is_valid_for(g)
+        assert m.holds_for(g)
         # Tutte-Berge: nu(G) = (n - max over S of (o(G-S) - |S|)) / 2
         assert len(m) == (g.n - tutte_deficiency_bruteforce(g)[0]) // 2
+        assert _checked_matching_certificate(g)[0] == m
 
 
 def test_perfect_matching_agrees_with_dp_oracle():
@@ -92,6 +107,7 @@ def test_perfect_matching_agrees_with_dp_oracle():
         n = rng.choice([4, 6, 8, 10, 12])
         g = _random_graph(rng, n, rng.uniform(0.1, 0.9))
         assert has_perfect_matching(g) == has_pm_bruteforce(g)
+        assert (_checked_matching_certificate(g)[1] is None) == has_pm_bruteforce(g)
 
 
 def test_bruteforce_caps():
@@ -103,15 +119,18 @@ def test_bruteforce_caps():
         has_fractional_pm_exhaustive(empty_graph(17))
 
 
-def test_tutte_certificate_none_when_pm_exists():
-    assert tutte_certificate(complete_graph(6)) is None
-    assert tutte_certificate(_cycle(8)) is None
+def test_matching_certificate_none_when_pm_exists():
+    for g in (complete_graph(6), _cycle(8)):
+        m, cert = matching_certificate(g)
+        assert cert is None
+        assert 2 * len(m) == g.n and m.holds_for(g)
 
 
-def test_tutte_certificate_on_extremal_families():
+def test_matching_certificate_on_extremal_families():
     for n, k in ((14, 1), (22, 2), (30, 3)):
         g = extremal_family(n, k)
-        cert = tutte_certificate(g)
+        m, cert = matching_certificate(g)
+        assert m.holds_for(g) and len(m) == n // 2 - 1
         # the hub is the unique inclusion-minimal violator for these graphs
         assert cert.vertex_mask == (1 << k) - 1
         assert cert.odd_count == k + 2
@@ -121,22 +140,22 @@ def test_tutte_certificate_on_extremal_families():
         assert cert.deficiency >= 2 and cert.deficiency % 2 == 0
 
 
-def test_tutte_certificate_is_tutte_berge_tight():
+def test_matching_certificate_is_tutte_berge_tight():
     # the Gallai-Edmonds set attains the maximum deficiency over all subsets,
     # which Tutte-Berge equates with n - 2*nu; odd orders included
     rng = random.Random(41)
     for _ in range(300):
         n = rng.randrange(1, 13)
         g = _random_graph(rng, n, rng.uniform(0.1, 0.7))
-        cert = tutte_certificate(g)
+        m, cert = _checked_matching_certificate(g)
         if has_pm_bruteforce(g):
             assert cert is None
             continue
-        assert cert.holds_for(g)
         assert cert.deficiency == tutte_deficiency_bruteforce(g)[0] == g.n - 2 * matching_number(g)
+        assert len(m) == matching_number(g)
 
 
-def test_tutte_certificate_checks_tutte_berge(monkeypatch):
+def test_matching_certificate_checks_tutte_berge(monkeypatch):
     # the deficiency must equal the number of exposed vertices; the check is
     # explicit, so it also runs under python -O
     import specmatch.matching
@@ -144,7 +163,7 @@ def test_tutte_certificate_checks_tutte_berge(monkeypatch):
     star = join(complete_graph(1), empty_graph(4))
     monkeypatch.setattr(specmatch.matching, "odd_components", lambda g, mask: 0)
     with pytest.raises(RuntimeError):
-        tutte_certificate(star)
+        matching_certificate(star)
 
 
 def test_tutte_deficiency_matches_berge():
@@ -183,14 +202,14 @@ def test_tutte_deficiency_equals_reference_loop():
     assert tutte_deficiency_bruteforce(extremal_family(16, 1)) == (2, 0b1)
 
 
-def test_tutte_certificate_above_oracle_cap():
+def test_matching_certificate_above_oracle_cap():
     g = extremal_family(30, 3)
-    cert = tutte_certificate(g)
+    cert = matching_certificate(g)[1]
     assert cert.vertex_mask == 0b111
     assert cert.holds_for(g)
     # a plain odd-order-style obstruction: K1 u K29
     h = Graph(30, [(u, v) for u in range(1, 30) for v in range(u + 1, 30)])
-    cert = tutte_certificate(h)
+    cert = matching_certificate(h)[1]
     assert cert.vertex_mask == 0
     assert cert.odd_count == 2
     assert cert.holds_for(h)
@@ -200,19 +219,22 @@ def test_fractional_c5_gets_half_weights():
     c5 = _cycle(5)
     assert not has_perfect_matching(c5)
     assert has_fractional_pm(c5)
-    witness = fractional_pm_witness(c5)
+    witness = fractional_certificate(c5)
+    assert isinstance(witness, FractionalWitness)
     assert witness.holds_for(c5)
     assert all(w == Fraction(1, 2) for _, w in witness.weights)
-    assert fractional_violator(c5) is None
 
 
 def test_fractional_star_violator_is_center():
     star = join(complete_graph(1), empty_graph(4))
     assert not has_fractional_pm(star)
-    assert fractional_pm_witness(star) is None
-    violating = fractional_violator(star)
-    assert violating == 0b1
-    assert isolated_count(star, violating) == 4
+    cert = fractional_certificate(star)
+    assert isinstance(cert, IsolationCertificate)
+    assert cert.vertex_mask == 0b1 and cert.vertices() == [0]
+    assert isolated_count(star, cert.vertex_mask) == cert.isolated == 4
+    assert cert.holds_for(star)
+    assert not IsolationCertificate(0b1, 3).holds_for(star)
+    assert not cert.holds_for(complete_graph(5))
 
 
 def test_extremal_family_has_fractional_pm():
@@ -220,7 +242,8 @@ def test_extremal_family_has_fractional_pm():
         g = extremal_family(n, k)
         assert not has_perfect_matching(g)
         assert has_fractional_pm(g)
-        witness = fractional_pm_witness(g)
+        witness = fractional_certificate(g)
+        assert isinstance(witness, FractionalWitness)
         assert witness.holds_for(g)
         assert all(w in (Fraction(1, 2), Fraction(1)) for _, w in witness.weights)
 
@@ -232,6 +255,7 @@ def test_pm_implies_fractional_pm():
         g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
         if has_perfect_matching(g):
             assert has_fractional_pm(g)
+            assert isinstance(fractional_certificate(g), FractionalWitness)
 
 
 def test_fractional_against_exhaustive_oracle():
@@ -241,14 +265,12 @@ def test_fractional_against_exhaustive_oracle():
         g = _random_graph(rng, n, rng.uniform(0.05, 0.95))
         expected = has_fractional_pm_exhaustive(g)
         assert has_fractional_pm(g) == expected
-        witness = fractional_pm_witness(g)
-        violating = fractional_violator(g)
-        if expected:
-            assert witness is not None and witness.holds_for(g)
-            assert violating is None
-        else:
-            assert witness is None
-            assert isolated_count(g, violating) > violating.bit_count()
+        cert = fractional_certificate(g)
+        assert isinstance(cert, FractionalWitness) == expected
+        assert cert.holds_for(g)
+        if not expected:
+            assert isolated_count(g, cert.vertex_mask) > cert.vertex_mask.bit_count()
+        _checked_matching_certificate(g)
 
 
 def _kuhn_reference(g):
@@ -269,7 +291,7 @@ def _kuhn_reference(g):
     for v in sorted(range(g.n), key=g.degree):
         if match_left[v] == -1:
             try_augment(v, [False] * g.n)
-    return match_left
+    return match_left, match_right
 
 
 def test_cover_matching_equals_plain_kuhn():
@@ -283,13 +305,13 @@ def test_cover_matching_equals_plain_kuhn():
 
 def test_witness_rejects_wrong_graph():
     c5 = _cycle(5)
-    witness = fractional_pm_witness(c5)
+    witness = fractional_certificate(c5)
     assert not witness.holds_for(complete_graph(4))  # C4 and both chords
     bad = FractionalWitness((((0, 1), Fraction(2)),))
     assert not bad.holds_for(complete_graph(2))
 
 
-def test_fractional_violator_checks_duality(monkeypatch):
+def test_fractional_certificate_checks_duality(monkeypatch):
     # the returned set must isolate more than |S| vertices; the check is
     # explicit, so it also runs under python -O
     import specmatch.matching
@@ -297,11 +319,26 @@ def test_fractional_violator_checks_duality(monkeypatch):
     star = join(complete_graph(1), empty_graph(4))
     monkeypatch.setattr(specmatch.matching, "isolated_count", lambda g, mask: 0)
     with pytest.raises(RuntimeError):
-        fractional_violator(star)
+        fractional_certificate(star)
 
 
 def test_empty_graph_edge_cases():
     assert has_fractional_pm(Graph(0))
-    assert fractional_pm_witness(Graph(0)).weights == ()
-    assert fractional_violator(Graph(0)) is None
+    assert fractional_certificate(Graph(0)) == FractionalWitness(())
+    assert matching_certificate(Graph(0)) == (Matching(frozenset()), None)
     assert has_perfect_matching(Graph(0))
+
+
+def test_certificates_reject_vertices_outside_the_graph():
+    # an index past either end is no vertex of G; -1 must not wrap to n-1
+    k2 = complete_graph(2)
+    for edge in ((-1, 0), (0, -1), (5, 0), (0, 5), (2, 1)):
+        assert not k2.has_edge(*edge)
+        assert not Matching(frozenset({edge})).holds_for(k2)
+        assert not FractionalWitness(((edge, Fraction(1)),)).holds_for(k2)
+    star = join(complete_graph(1), empty_graph(4))  # centre 0 isolates 4 leaves
+    assert TutteCertificate(0b1, 4).holds_for(star)
+    assert IsolationCertificate(0b1, 4).holds_for(star)
+    for outside in (1 << 5, 1 << 40, -1 << 5):
+        assert not TutteCertificate(0b1 | outside, 4).holds_for(star)
+        assert not IsolationCertificate(0b1 | outside, 4).holds_for(star)

@@ -283,6 +283,7 @@ def test_saturated_root_isolates_each_spec_once_however_called():
     info = quotient._isolate_saturated_root.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert _saturated_root(1, (9, 1, 3), DEFAULT_ROOT_WIDTH) is root
+    assert _saturated_root(1, (3, 9, 1), Fraction(2, 2 * 10**10)) is root
     assert quotient._isolate_saturated_root.cache_info().misses == 1
 
 
