@@ -413,13 +413,6 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.pad(packed, [(0, 0), (0, -packed.shape[1] % 8)]).view(np.uint64)
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, by SWAR (np.bitwise_count needs numpy >= 2)."""
-    words = words - ((words >> 1) & 0x5555555555555555)
-    words = (words & 0x3333333333333333) + ((words >> 2) & 0x3333333333333333)
-    return (((words + (words >> 4)) & 0x0F0F0F0F0F0F0F0F) * 0x0101010101010101) >> 56
-
-
 @functools.cache
 def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
     """Bit-packed tables deciding connectivity, perfect matching and edge count
@@ -445,12 +438,13 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
     inner_pairs = list(itertools.combinations(range(m), 2))
     high = np.arange(1 << len(inner_pairs), dtype=np.uint16)
     low = np.arange(1 << (2 * m + 1), dtype=np.uint16)
-    edge = {uw: ((high >> j) & 1).astype(np.uint8) for j, uw in enumerate(inner_pairs)}
+    # edge[j, hi]: inner pair j is an edge of H
+    edge = np.array([(high >> j) & 1 for j in range(len(inner_pairs))], dtype=np.uint8)
 
     # components of H: grow each vertex's closed neighbourhood until it
     # spans paths of length m - 1
     reach = np.repeat((1 << np.arange(m, dtype=np.uint8))[:, None], high.size, axis=1)
-    for (u, w), bit in edge.items():
+    for (u, w), bit in zip(inner_pairs, edge):
         reach[u] |= bit << w
         reach[w] |= bit << u
     for _ in range((m - 1).bit_length()):
@@ -475,16 +469,17 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
         blocks.append(_pack(np.stack([both, covered], -1).reshape(len(h), -1)))
     connected = np.concatenate(blocks)
 
-    # pm[s]: H restricted to the even vertex set s has a perfect matching
-    pm = {0: np.ones(high.size, dtype=np.uint8)}
+    # pm[s]: H restricted to the even vertex set s has a perfect matching; one
+    # array, freed whole after the build, whose odd rows are never written
+    pm = np.zeros((1 << m, high.size), dtype=np.uint8)
+    pm[0] = 1
     for s in range(3, full + 1):
-        if bin(s).count("1") % 2:
+        if s.bit_count() % 2:
             continue
         v = (s & -s).bit_length() - 1
-        pm[s] = np.zeros(high.size, dtype=np.uint8)
         for w in range(v + 1, m):
             if s >> w & 1:
-                pm[s] |= edge[(v, w)] & pm[s ^ (1 << v) ^ (1 << w)]
+                pm[s] |= edge[inner_pairs.index((v, w))] & pm[s ^ (1 << v) ^ (1 << w)]
     # partner set j is inner pair j, or X empty last; offers[j] are the low values
     # that give it, and row 256k + x of unions ORs the offers of byte k's bits x
     a, b = (low >> 1) & full, low >> (m + 1)
@@ -496,9 +491,9 @@ def _scan_tables(n: int) -> tuple[np.ndarray, ...]:
     for j, (offer, ok) in enumerate(zip(offers, matchable)):
         unions[256 * (j // 8) + np.flatnonzero(np.arange(256) >> (j % 8) & 1)] |= offer
         byte_index[j // 8] += ok.astype(np.uint16) << (j % 8)
-    low_edges = sum((low >> i) & 1 for i in range(2 * m + 1))
-    heavy_low = _pack(low_edges > np.arange(2 * m + 2)[:, None])
-    sizes, high_edges = _popcount(connected).sum(axis=1), sum(edge.values()).astype(np.int16)
+    heavy_low = _pack(np.bitwise_count(low) > np.arange(2 * m + 2)[:, None])
+    sizes = np.bitwise_count(connected).sum(axis=1)
+    high_edges = np.bitwise_count(high).astype(np.int16)  # signed: the cutoff may be -1
     return partition.astype(np.uint8), connected, sizes, unions, byte_index, heavy_low, high_edges
 
 
@@ -517,7 +512,8 @@ def _scan_range(
     A mask is (high << (2n-3)) + low, high the inner graph on {2..n-1} and low
     the 2n-3 pairs that touch {0, 1} (see _scan_tables). Blocks of whole rows,
     one per high value with 64 low values to a word, are decided by row gathers
-    and word-wide ANDs and ORs; only a row cut by [start, stop) is popcounted."""
+    and word-wide ANDs and ORs. np.bitwise_count counts the no-matching masks,
+    and the connected ones only in a row cut by [start, stop)."""
     pairs = list(itertools.combinations(range(n), 2))
     ref = _scan_constants(n)[1]
     partition, conn_rows, conn_count, unions, byte_index, heavy_low, high_edges = _scan_tables(n)
@@ -529,16 +525,17 @@ def _scan_range(
     row_stop = -(-stop >> low_bits)
     for h0 in range(start >> low_bits, row_stop, block_rows):
         highs = np.arange(h0, min(h0 + block_rows, row_stop))
-        connected, row_counts = conn_rows[partition[highs]], conn_count[partition[highs]]
+        parts = partition[highs]
+        connected, row_counts = conn_rows[parts], conn_count[parts]
         base, last = h0 << low_bits, int(highs[-1]) << low_bits
         if start > base or stop < last + row_len:
             connected[:1] &= _pack(np.arange(row_len)[None] >= start - base)
             connected[-1:] &= _pack(np.arange(row_len)[None] < stop - last)
-            row_counts[[0, -1]] = _popcount(connected[[0, -1]]).sum(axis=1)
+            row_counts[[0, -1]] = np.bitwise_count(connected[[0, -1]]).sum(axis=1)
         interesting = connected & ~np.bitwise_or.reduce(unions[byte_index[:, highs]])
         budget = np.minimum(np.maximum(m_max - high_edges[highs], 0), low_bits)
         heavy = interesting & heavy_low[budget]
-        no_pm = int(_popcount(interesting).sum())
+        no_pm = int(np.bitwise_count(interesting).sum())
         survivors = ()
         if heavy.any():
             rows, cols = np.nonzero(heavy)

@@ -331,6 +331,21 @@ def test_scan_n8_ranges_across_table_rows_match_per_graph_counts():
         assert _scan_counts(report) == expected
 
 
+def test_scan_n8_whole_block_equals_its_unaligned_parts():
+    # chunk (c, 1024) is one untrimmed 2^18-mask block, the path the benchmark
+    # times; its thirds end 5,461 and 2,730 masks into a table row, on the
+    # trimmed path the per-graph tests pin
+    for c in (0, 417, 1023):
+        whole = pm_threshold_scan(8, chunk=(c, 1024))
+        parts = [pm_threshold_scan(8, chunk=(3 * c + j, 3072)) for j in range(3)]
+        assert whole.passed and all(part.passed for part in parts)
+        assert whole.extras["no_pm_connected"] > 0
+        assert whole.cases == sum(part.cases for part in parts)
+        for key, val in whole.extras.items():
+            if key not in ("reference_g6", "reference_mu", "edge_cutoff"):
+                assert val == sum(part.extras[key] for part in parts), key
+
+
 def _range_counts(n, start, stop, cutoff):
     # per-graph reference over the masks [start, stop), as _per_graph_counts
     pairs = list(itertools.combinations(range(n), 2))
@@ -384,14 +399,6 @@ def test_scan_n4_single_mask_chunks_match_per_graph_counts():
         assert report.passed
         expected = _per_graph_counts(4, (mask, 64), report.extras["edge_cutoff"])
         assert _scan_counts(report) == expected
-
-
-def test_popcount_matches_int_bit_count():
-    rng = random.Random(14)
-    words = [0, (1 << 64) - 1] + [1 << i for i in range(64)]
-    words += [rng.getrandbits(64) for _ in range(10**4)]
-    counts = harness._popcount(np.array(words, dtype=np.uint64))
-    assert counts.tolist() == [w.bit_count() for w in words]
 
 
 def test_packed_scan_tables_have_zero_padding():
