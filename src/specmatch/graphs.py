@@ -310,10 +310,8 @@ def odd_components(g: Graph, removed: int) -> int:
 
 @functools.cache
 def _popcounts(n: int) -> np.ndarray:
-    """|T| for every vertex mask T < 2^n, uint8, built by doubling on the top vertex."""
-    pop = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(n):
-        pop[1 << v : 2 << v] = pop[: 1 << v] + 1
+    """|T| for every vertex mask T < 2^n, uint8."""
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     pop.setflags(write=False)  # one cached table is shared by every caller
     return pop
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ _BLOCK_BITS = 18
 # stages of the threshold-order chain after the scan's table prefilter;
 # wiener_exact_pruned stays at 0 only because perfbench's Scan8 funnel sums it
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
+_PROBE_KEYS = ("floor_decided", "eigensolves")
 ENUMERATE_CAP = 8
 
 
@@ -693,12 +695,19 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, in
     return Graph.from_rows(rows), (1 << s) - 1
 
 
-def check_probe_sample(g: Graph, k: int, ref_root: CertifiedRoot | None = None) -> dict | None:
+def check_probe_sample(g: Graph, k: int, ref_root=None, counts=None) -> dict | None:
     """Predicate behind the probe suite (check "probe-order"): a valid sample
     must have radius strictly above the threshold root, unless it is the
-    threshold graph itself. Returns a violation record or None."""
+    threshold graph itself. Returns a violation record or None. The exact
+    floor 2W/n (the bracket at tol = inf, no eigensolve) decides first, the
+    default-tol bracket the rest; `counts` tallies the stage that decided."""
     ref_root = family_quartic_root(g.n, k) if ref_root is None else ref_root
+    counts = dict.fromkeys(_PROBE_KEYS, 0) if counts is None else counts
+    if distance_spectral_radius(g, math.inf).lo > ref_root.hi:
+        counts["floor_decided"] += 1
+        return None
     est = distance_spectral_radius(g)
+    counts["eigensolves"] += 1
     if est.lo > ref_root.hi or matches_clique_join(g, k, canonical_parts(g.n, k)):
         return None
     detail = "valid sample with radius not above the threshold"
@@ -720,7 +729,8 @@ def probe_extremal_bound(
     Tutte set, the hub S with o(G-S) >= |S|+2, and the blossom decides only
     when S does not certify. With exploratory=True, orders below the proven
     range 8k+6 are admitted and failures are expected to be possible; the
-    report is flagged accordingly.
+    report is flagged accordingly. extras "floor_decided" and "eigensolves"
+    split the cases by check_probe_sample's deciding stage.
     """
     if k < 1 or n % 2 or n < 2 * k + 6:
         raise ParameterError(f"need even n >= 2k+6 and k >= 1, got n={n}, k={k}")
@@ -738,6 +748,7 @@ def probe_extremal_bound(
     ref_root = family_quartic_root(n, k)
     report.extras["reference_mu"] = [float(ref_root.lo), float(ref_root.hi)]
     rejected = {"template": 0, "connectivity": 0, "fractional": 0, "perfect": 0}
+    counts = dict.fromkeys(_PROBE_KEYS, 0)
     attempts = 0
     attempt_cap = 200 * trials + 1000
     while report.cases < trials:
@@ -761,9 +772,10 @@ def probe_extremal_bound(
         if not has_fractional_pm(g):
             rejected["fractional"] += 1
             continue
-        _record(report, check_probe_sample(g, k, ref_root))
+        _record(report, check_probe_sample(g, k, ref_root, counts))
     report.extras["attempts"] = attempts
     report.extras["rejected"] = rejected
+    report.extras.update(counts)
     report.seconds = time.perf_counter() - t0
     return report
 

@@ -8,7 +8,6 @@ small n numpy's per-call overhead outweighs the arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,10 +60,10 @@ class SpectralEstimate:
     """The distance spectral radius mu with an exact bracket.
 
     `lo <= mu <= hi` holds exactly for the Fractions lo and hi; `value` is the
-    float eigenvalue of LAPACK, clamped into [float(lo), float(hi)], and
-    `iterations` the number of exact matvecs behind the bracket. `wiener` is
-    the exact Wiener index of the distance matrix solved (None on a bracket
-    built by hand).
+    float eigenvalue of LAPACK clamped into [float(lo), float(hi)], or float(lo)
+    when `iterations`, the number of exact matvecs behind the bracket, is 0 and
+    no eigensolve ran. `wiener` is the exact Wiener index of the distance
+    matrix solved (None on a bracket built by hand).
     """
 
     value: float
@@ -82,9 +81,14 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
     """The certified radius of a connected graph of order n >= 2: a bracket
     of width at most `tol` with exact rational ends.
 
+    The first bracket, [2W/n, max transmission], holds by the Rayleigh
+    quotient and by Collatz-Wielandt (below) at x = 1. If it meets `tol`
+    (always at tol = inf; at the default tol only when all transmissions are
+    equal, as in K_n and C_n, and it is closed at mu), it is returned with
+    iterations = 0, value = float(2W/n) and no eigensolve. Otherwise
     eigh(D)'s top eigenvector v proposes x = floor(|v| 2^50 / max|v|) + 1;
     y = Dx in int64 is exact (row sums < 2^11 at VERTEX_CAP keep y < 2^61),
-    and [2W/n, max transmission] narrows to the extreme ratios y_i/x_i by
+    and the bracket narrows to the extreme ratios y_i/x_i by
     cross-multiplication in ints. While wider than `tol`, x <- y and one
     more exact step runs in Python ints, with no cap:
     - Collatz-Wielandt: for D >= 0 irreducible and any x > 0,
@@ -94,7 +98,6 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
     - For n >= 3 the support of D is K_n, which has odd cycles, so D is
       primitive: the exact ratios of D^k x converge to rho from any x > 0,
       and any tol > 0 is reached.
-    - For n = 2, 2W/n = max transmission = 1: the bracket closes at once.
     - Measured at 1e-12: paths take 2-3 steps, random graphs 1-2; at the
       default 1e-10, random graphs up to n = 64 close in one.
     """
@@ -103,18 +106,25 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
     dist = _distance_matrices(_adjacency_matrices([g]))[0]
-    values, vectors = np.linalg.eigh(dist)
-    v = np.abs(vectors[:, -1])
     rows = dist.astype(np.int64)
-    x = (v * 2.0**50 / v.max()).astype(np.int64) + 1
     transmissions = rows.sum(axis=1).tolist()
     twice_wiener = sum(transmissions)
     # a width is below the largest transmission, < 2^11, so tol = inf reads as 2^11
     tol_p, tol_q = float(min(tol, 2048)).as_integer_ratio()
     # the bracket is [lo_p/lo_q, hi_p/hi_q] in ints
     lo_p, lo_q, hi_p, hi_q = twice_wiener, g.n, max(transmissions), 1
-    xs, ys = x.tolist(), (rows @ x).tolist()
-    for iterations in itertools.count(1):
+    top = lo_p / lo_q  # int / int rounds once; the clamp below keeps it without eigh
+    iterations = 0
+    while (hi_p * lo_q - lo_p * hi_q) * tol_q > tol_p * hi_q * lo_q:
+        if iterations:
+            xs, ys = ys, [sum(map(operator.mul, row, ys)) for row in rows.tolist()]
+        else:
+            values, vectors = np.linalg.eigh(dist)
+            top = float(values[-1])
+            v = np.abs(vectors[:, -1])
+            x = (v * 2.0**50 / v.max()).astype(np.int64) + 1
+            xs, ys = x.tolist(), (rows @ x).tolist()
+        iterations += 1
         min_p = max_p = ys[0]
         min_q = max_q = xs[0]
         for p, q in zip(ys, xs):
@@ -126,9 +136,6 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
             lo_p, lo_q = min_p, min_q
         if max_p * hi_q < hi_p * max_q:
             hi_p, hi_q = max_p, max_q
-        if (hi_p * lo_q - lo_p * hi_q) * tol_q <= tol_p * hi_q * lo_q:
-            break
-        xs, ys = ys, [sum(map(operator.mul, row, ys)) for row in rows.tolist()]
-    value = min(max(float(values[-1]), lo_p / lo_q), hi_p / hi_q)  # int / int rounds once
+    value = min(max(top, lo_p / lo_q), hi_p / hi_q)
     lo, hi = Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)
     return SpectralEstimate(value, lo, hi, iterations, twice_wiener // 2)

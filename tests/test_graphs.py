@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from specmatch import (
@@ -33,6 +34,7 @@ from specmatch import (
     write_edge_list,
     write_graph6,
 )
+from specmatch.graphs import _popcounts
 
 
 def _random_graph(rng, n, p):
@@ -274,6 +276,14 @@ def test_odd_component_counts_against_odd_components():
     assert odd_component_counts(empty_graph(16))[-1] == 16
     with pytest.raises(ParameterError, match="capped at n=16, got 17"):
         odd_component_counts(empty_graph(17))
+
+
+def test_popcount_table_counts_every_mask():
+    # the shared table behind the odd-component and deficiency tables
+    for n in range(17):
+        pop = _popcounts(n)
+        assert pop.dtype == np.uint8 and not pop.flags.writeable and _popcounts(n) is pop
+        assert pop.tolist() == [bin(t).count("1") for t in range(1 << n)], n
 
 
 def test_k_connectivity_known_cases():

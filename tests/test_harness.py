@@ -45,10 +45,11 @@ from specmatch import (
     threshold_reference,
     verify_extremal_family,
     verify_ordering_chain,
+    wiener_index,
     write_graph6,
 )
 import specmatch.harness as harness
-from specmatch.graphs import _adjacency_matrices
+from specmatch.graphs import _adjacency_matrices, canonical_parts
 from specmatch.harness import CHECKS, SuiteReport, check_probe_sample
 from specmatch.quotient import CertifiedRoot, family_quartic_root
 
@@ -703,6 +704,48 @@ def test_probe_exploratory_finds_genuine_violations():
     assert replay_violation(violation) is True
     # each is certified: the exact bracket lies wholly below the threshold root
     assert all(v["data"]["certified"] is True for v in report.violations)
+
+
+@pytest.mark.parametrize("n,k,trials", [(14, 1, 300), (22, 2, 200), (10, 1, 300)])
+def test_probe_floor_decides_as_the_full_bracket(monkeypatch, n, k, trials):
+    # the exact floor 2W/n decides most samples with one radius call; the
+    # verdict is the one the default-tol bracket gives, and a violation still
+    # carries that bracket
+    samples = []
+    monkeypatch.setattr(
+        harness, "check_probe_sample", lambda g, *a: samples.append(g) or check_probe_sample(g, *a)
+    )
+    report = probe_extremal_bound(n, k, trials, seed=9, exploratory=n < 8 * k + 6)
+    monkeypatch.undo()
+    calls = []
+
+    def counted(g, *args):
+        calls.append(args)
+        return distance_spectral_radius(g, *args)
+
+    monkeypatch.setattr(harness, "distance_spectral_radius", counted)
+    ref = family_quartic_root(n, k)
+    one_call = violations = 0
+    for g in samples:
+        calls.clear()
+        violation = check_probe_sample(g, k, ref)
+        above = distance_spectral_radius(g).lo > ref.hi
+        assert (violation is None) == (above or matches_clique_join(g, k, canonical_parts(n, k)))
+        if len(calls) == 1:
+            assert 2 * wiener_index(g) > g.n * ref.hi
+            one_call += 1
+        else:
+            assert calls == [(math.inf,), ()]
+        if violation is not None:
+            lo, hi = map(Fraction, violation["data"]["estimate_exact"])
+            assert hi - lo <= Fraction(1e-10) and replay_violation(violation)
+            violations += 1
+    assert len(samples) == report.cases == trials
+    stages = (report.extras["floor_decided"], report.extras["eigensolves"])
+    assert stages == (one_call, trials - one_call)
+    assert violations == len(report.violations)
+    if n == 10:  # below the proven range both stages decide, and some samples fail
+        assert 0 < one_call < trials and violations > 0
 
 
 def test_check_probe_sample_contract():

@@ -120,9 +120,7 @@ def test_complete_graph_is_transmission_regular():
     # distance matrix of K_n is J - I with top eigenvalue n-1; bracket collapses
     for n in (2, 5, 9):
         est = distance_spectral_radius(complete_graph(n))
-        assert est.lo <= n - 1 <= est.hi
-        assert abs(est.value - (n - 1)) <= 1e-9
-        assert est.iterations <= 2
+        assert (est.lo, est.hi, est.value, est.iterations) == (n - 1, n - 1, n - 1, 0)
 
 
 def test_path3_closed_form():
@@ -157,16 +155,25 @@ def test_bracket_contains_dense_eigensolve():
         assert abs(est.value - dense) <= 1e-8
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(1))
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=1e-13)
     with pytest.raises(ParameterError):
         distance_spectral_radius(complete_graph(4), tol=float("nan"))
-    # any tolerance above the first bracket's width, an infinite one too, takes one step
-    for tol in (1.0, 1e6, math.inf):
-        assert distance_spectral_radius(_path(9), tol=tol).iterations == 1
+    # a tolerance below the first bracket's width takes one step; one above
+    # it, an infinite one too, returns that bracket [2W/n, max transmission]
+    # with no step and no eigensolve
+    assert distance_spectral_radius(_path(9), tol=1.0).iterations == 1
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+    for tol in (1e6, math.inf):
+        est = distance_spectral_radius(_path(9), tol=tol)
+        assert (est.lo, est.hi) == (Fraction(2 * 120, 9), 36)
+        assert (est.iterations, est.value, est.wiener) == (0, float(Fraction(240, 9)), 120)
+    assert eighs == []
 
 
 def _fields(est):
@@ -175,12 +182,15 @@ def _fields(est):
 
 def _reference_fields(dist, tol):
     """The same certificate for one distance matrix (lists of ints) in plain
-    Python: the float Perron vector scaled to positive ints, then exact
-    Collatz-Wielandt steps over Fractions inside [2W/n, max transmission]."""
+    Python: [2W/n, max transmission] when it meets tol, else the float Perron
+    vector scaled to positive ints and exact Collatz-Wielandt steps over
+    Fractions inside it."""
+    lo, hi = Fraction(sum(map(sum, dist)), len(dist)), Fraction(max(map(sum, dist)))
+    if hi - lo <= Fraction(tol):
+        return (float(lo), lo, hi, 0, sum(map(sum, dist)) // 2)
     values, vectors = np.linalg.eigh(np.array(dist, dtype=float))
     v = [abs(c) for c in vectors[:, -1].tolist()]
     x = [int(c * 2.0**50 / max(v)) + 1 for c in v]
-    lo, hi = Fraction(sum(map(sum, dist)), len(dist)), Fraction(max(map(sum, dist)))
     iterations = 0
     while True:
         y = [sum(d * c for d, c in zip(row, x)) for row in dist]
@@ -217,8 +227,9 @@ def test_stacked_radii_equal_single_solves():
 
 
 def test_stack_mixing_fast_and_slow_convergers():
-    # long paths need more exact steps at 1e-12 than K_n, which stops after
-    # one; a slow graph in the stack does not change the certificate of a fast one
+    # long paths need more exact steps at 1e-12 than K_n, whose closed first
+    # bracket needs none; a slow graph in the stack does not change the
+    # certificate of a fast one
     rng = random.Random(23)
     steps = set()
     for n in (34, 37, 38, 40, 64):
@@ -226,7 +237,7 @@ def test_stack_mixing_fast_and_slow_convergers():
         graphs += [_random_connected(rng, n) for _ in range(4)]
         stacked = [_reference_fields(dist, 1e-12) for dist in _stacked_distances(graphs)]
         assert stacked == [_fields(distance_spectral_radius(g, 1e-12)) for g in graphs], n
-        assert stacked[0][3] == 1 < stacked[1][3], n
+        assert stacked[0][3] == 0 < stacked[1][3], n
         steps |= {fields[3] for fields in stacked}
     assert len(steps) >= 3
 
