@@ -140,12 +140,13 @@ def _cmd_spectra(args) -> int:
     est = distance_spectral_radius(g, args.tol)
     wiener = est.wiener
     bound = Fraction(2 * wiener, g.n)
+    mu = est.value if est.iterations or est.lo == est.hi else None  # else value is 2W/n
     result = {
         "order": g.n,
         "size": g.edge_count(),
         "wiener": wiener,
         "wiener_bound": float(bound),
-        "mu": est.value,
+        "mu": mu,
         "bracket": [float(est.lo), float(est.hi)],
         "bracket_exact": [str(est.lo), str(est.hi)],
         "iterations": est.iterations,
@@ -157,7 +158,8 @@ def _cmd_spectra(args) -> int:
         print(f"size: {g.edge_count()}")
         print(f"wiener: {wiener}")
         print(f"wiener bound 2W/n: {float(bound):.12g}")
-        print(f"mu: {est.value:.12g}")
+        if mu is not None:
+            print(f"mu: {mu:.12g}")
         print(f"bracket: [{float(est.lo):.12g}, {float(est.hi):.12g}]")
         print(f"iterations: {est.iterations}")
     return 0

@@ -95,9 +95,9 @@ class Graph:
             if row >> v & 1:
                 raise ParameterError(f"loop at vertex {v}")
         a = _adjacency_matrices([g])[0]
-        asymmetric = np.flatnonzero(a > a.T)  # row-major: the first v, then its first u
-        if asymmetric.size:
-            v, u = divmod(int(asymmetric[0]), g.n)
+        asymmetric = a > a.T
+        if asymmetric.any():  # row-major: the first v, then its first u
+            v, u = divmod(int(np.flatnonzero(asymmetric)[0]), g.n)
             raise ParameterError(f"asymmetric adjacency at ({v},{u})")
         return g
 
@@ -361,9 +361,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.n <= k:
         return False
     hub = universal_mask(g)
-    others = vertices_from_mask(g.full_mask & ~hub)
     for size in range(k - hub.bit_count()):
-        for combo in itertools.combinations(others, size):
+        for combo in itertools.combinations(vertices_from_mask(g.full_mask & ~hub), size):
             if not is_connected(g, hub | mask_from_vertices(combo)):
                 return False
     return True

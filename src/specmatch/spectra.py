@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, ParameterError, _adjacency_matrices
+from .graphs import Graph, ParameterError, _adjacency_matrices, universal_mask
 
 MIN_TOL = 1e-12
 DEFAULT_TOL = 1e-10
@@ -62,8 +62,8 @@ class SpectralEstimate:
     `lo <= mu <= hi` holds exactly for the Fractions lo and hi; `value` is the
     float eigenvalue of LAPACK clamped into [float(lo), float(hi)], or float(lo)
     when `iterations`, the number of exact matvecs behind the bracket, is 0 and
-    no eigensolve ran. `wiener` is the exact Wiener index of the distance
-    matrix solved (None on a bracket built by hand).
+    no eigensolve ran. `wiener` is the exact Wiener index of G (None on a
+    bracket built by hand).
     """
 
     value: float
@@ -82,10 +82,12 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
     of width at most `tol` with exact rational ends.
 
     The first bracket, [2W/n, max transmission], holds by the Rayleigh
-    quotient and by Collatz-Wielandt (below) at x = 1. If it meets `tol`
-    (always at tol = inf; at the default tol only when all transmissions are
-    equal, as in K_n and C_n, and it is closed at mu), it is returned with
-    iterations = 0, value = float(2W/n) and no eigensolve. Otherwise
+    quotient and by Collatz-Wielandt (below) at x = 1. With a universal
+    vertex G has diameter <= 2, so the transmissions are read off the degrees,
+    2(n - 1) - deg v, and the BFS builds D only if eigh runs. If the bracket
+    meets `tol` (always at tol = inf; at the default tol only when all
+    transmissions are equal, as in K_n and C_n, and it is closed at mu), it is
+    returned with iterations = 0, value = float(2W/n) and no eigensolve. Otherwise
     eigh(D)'s top eigenvector v proposes x = floor(|v| 2^50 / max|v|) + 1;
     y = Dx in int64 is exact (row sums < 2^11 at VERTEX_CAP keep y < 2^61),
     and the bracket narrows to the extreme ratios y_i/x_i by
@@ -105,9 +107,12 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
         raise ParameterError(f"distance spectral radius needs order n >= 2, got order {g.n}")
     if not tol >= MIN_TOL:
         raise ParameterError(f"tolerance must be at least {MIN_TOL:g}, got {tol!r}")
-    dist = _distance_matrices(_adjacency_matrices([g]))[0]
-    rows = dist.astype(np.int64)
-    transmissions = rows.sum(axis=1).tolist()
+    if universal_mask(g):  # diameter <= 2: D = 2(J - I) - A, Tr(v) = 2(n - 1) - deg v
+        dist = None
+        transmissions = [2 * (g.n - 1) - row.bit_count() for row in g.rows]
+    else:
+        dist = _distance_matrices(_adjacency_matrices([g]))[0]
+        transmissions = dist.astype(np.int64).sum(axis=1).tolist()
     twice_wiener = sum(transmissions)
     # a width is below the largest transmission, < 2^11, so tol = inf reads as 2^11
     tol_p, tol_q = float(min(tol, 2048)).as_integer_ratio()
@@ -119,6 +124,9 @@ def distance_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEsti
         if iterations:
             xs, ys = ys, [sum(map(operator.mul, row, ys)) for row in rows.tolist()]
         else:
+            if dist is None:
+                dist = _distance_matrices(_adjacency_matrices([g]))[0]
+            rows = dist.astype(np.int64)
             values, vectors = np.linalg.eigh(dist)
             top = float(values[-1])
             v = np.abs(vectors[:, -1])

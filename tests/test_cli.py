@@ -109,6 +109,23 @@ def test_spectra_json(capsys):
     assert hi - lo <= 1e-9
 
 
+def test_spectra_wide_tol_prints_no_mu(capsys):
+    # a first bracket returned open holds the floor 2W/n, not mu
+    g6 = write_graph6(extremal_family(14, 1))
+    code, out, _ = run(capsys, "spectra", "--g6", g6, "--tol", "10")
+    assert code == 0
+    assert "mu:" not in out
+    assert "bracket: [18.5714285714, 25]" in out and "iterations: 0" in out
+    code, payload, _ = run_json(capsys, "spectra", "--g6", g6, "--tol", "10", "--json")
+    assert code == 0
+    result = payload["result"]
+    assert result["mu"] is None
+    assert (result["bracket_exact"], result["iterations"]) == (["130/7", "25"], 0)
+    # a closed first bracket is mu itself
+    code, out, _ = run(capsys, "spectra", "--g6", write_graph6(complete_graph(5)), "--tol", "10")
+    assert code == 0 and "mu: 4\n" in out and "iterations: 0" in out
+
+
 def test_spectra_from_edge_file(tmp_path, capsys):
     path = tmp_path / "graph.txt"
     path.write_text("# n=4\n0 1\n1 2\n2 3\n")

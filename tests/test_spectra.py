@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import specmatch.harness
 import specmatch.spectra
 
 from specmatch import (
@@ -21,8 +22,11 @@ from specmatch import (
     distance_matrix,
     distance_spectral_radius,
     empty_graph,
+    enumerate_graphs,
     extremal_family,
     join,
+    probe_extremal_bound,
+    universal_mask,
     wiener_index,
 )
 from specmatch.graphs import _adjacency_matrices
@@ -202,6 +206,71 @@ def _reference_fields(dist, tol):
         x = y
     value = min(max(float(values[-1]), float(lo)), float(hi))
     return (value, lo, hi, iterations, sum(map(sum, dist)) // 2)
+
+
+def _floor_fields(dist):
+    """The first bracket [2W/n, max transmission] of one distance matrix (lists
+    of ints), as distance_spectral_radius returns it at tol = inf."""
+    lo, hi = Fraction(sum(map(sum, dist)), len(dist)), Fraction(max(map(sum, dist)))
+    return (float(lo), lo, hi, 0, sum(map(sum, dist)) // 2)
+
+
+def test_universal_vertex_floor_equals_the_bfs_floor():
+    # a universal vertex bounds the diameter by 2, so the first bracket is read
+    # off the degrees; it equals the BFS's on every labeled graph with a
+    # universal vertex up to n = 6
+    graphs = 0
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            if universal_mask(g):
+                floor = _floor_fields(distance_matrix(g).tolist())
+                assert _fields(distance_spectral_radius(g, math.inf)) == floor, g.rows
+                graphs += 1
+    assert graphs == 1 + 4 + 23 + 256 + 5319
+
+
+@pytest.mark.parametrize("n,k", [(14, 1), (22, 2), (30, 3)])
+def test_probe_samples_floor_equals_the_bfs_floor(monkeypatch, n, k):
+    samples = []
+    check = specmatch.harness.check_probe_sample
+    monkeypatch.setattr(
+        specmatch.harness, "check_probe_sample", lambda g, *a: samples.append(g) or check(g, *a)
+    )
+    probe_extremal_bound(n, k, 200, seed=5)
+    assert len(samples) == 200
+    universal = sum(1 for g in samples if universal_mask(g))
+    assert 0 < universal < 200, universal
+    for g in samples:
+        floor = _floor_fields(distance_matrix(g).tolist())
+        assert _fields(distance_spectral_radius(g, math.inf)) == floor, g.rows
+
+
+def test_distances_built_only_when_needed(monkeypatch):
+    # a graph with a universal vertex builds D only for eigh; any other graph
+    # builds it once, up front
+    calls = []
+    bfs = specmatch.spectra._distance_matrices
+    monkeypatch.setattr(
+        specmatch.spectra, "_distance_matrices", lambda a: calls.append(a.shape) or bfs(a)
+    )
+
+    def solve(g, *tol):
+        calls.clear()
+        return distance_spectral_radius(g, *tol), len(calls)
+
+    star = join(complete_graph(1), empty_graph(7))
+    for g in (star, extremal_family(14, 1), extremal_family(30, 3)):
+        est, built = solve(g, math.inf)
+        assert (built, est.iterations) == (0, 0)
+    est, built = solve(complete_graph(9))
+    assert (built, est.lo, est.hi, est.iterations) == (0, 8, 8, 0)
+    est, built = solve(star)
+    assert (built, est.iterations) == (1, 1)
+    assert _fields(est) == _reference_fields(distance_matrix(star).tolist(), 1e-10)
+    for g in (_path(9), _cycle(8)):
+        est, built = solve(g, math.inf)
+        assert (built, est.iterations) == (1, 0)
+        assert _fields(est) == _floor_fields(distance_matrix(g).tolist())
 
 
 def _stacked_distances(graphs):
