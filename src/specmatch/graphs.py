@@ -208,6 +208,8 @@ def barrier_family(spec: FamilySpec) -> Graph:
     Deleting the hub leaves q odd cliques, so for q >= s+2 the hub is a Tutte
     barrier and the graph has no perfect matching.
     """
+    if spec.n > VERTEX_CAP:  # before any row: each is an n-bit int
+        raise CapacityError(f"order {spec.n} exceeds cap {VERTEX_CAP}")
     hub = (1 << spec.s) - 1
     rows = []
     for block in family_partition(spec):  # a hub vertex sees all, a part vertex its part and hub

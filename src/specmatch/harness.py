@@ -57,9 +57,9 @@ from .matching import (
 from .quotient import (
     CertifiedRoot,
     _minor_certificate,
-    _odd_parts,
     _saturated_quotient,
     _saturated_root,
+    _specs,
     family_quartic,
     family_quartic_root,
     gap_bound_at_radius_floor,
@@ -344,9 +344,6 @@ def verify_ordering_chain(spec: FamilySpec, k: int, exploratory: bool = False) -
         raise ParameterError(f"need at least s+2 parts, got q={q}")
     if spec.parts[s] < 3:
         raise ParameterError(f"part {s + 1} must have >= 3 vertices, got {spec.parts[s]}")
-    bound = n - 3 * q + s + 3
-    if spec.parts[-1] > bound:
-        raise ParameterError(f"largest part {spec.parts[-1]} exceeds bound {bound}")
     if n < 2 * k + 6:
         raise ParameterError(f"need n >= 2k+6 for the threshold graph, got {n}")
     if s >= k + 1 and n < 6 * k + 6 and not exploratory:
@@ -625,12 +622,11 @@ def _check_saturated_order(
 def _saturated_order_scan(report: SuiteReport, n: int, root: CertifiedRoot) -> None:
     """_check_saturated_order on every spec (s >= 1, s + 2 odd parts) of order n."""
     threshold, counts = _reference_parts(n), {"certified_above": 0, "threshold_matches": 0}
-    for s in range(1, n // 2):
-        for parts in _odd_parts(n - s, s + 2):
-            violation = _check_saturated_order(None, n, s, parts, (root.lo, root.hi))
-            _record(report, violation)
-            if violation is None:
-                counts["threshold_matches" if (s, parts) == threshold else "certified_above"] += 1
+    for s, parts in _specs(n):
+        violation = _check_saturated_order(None, n, s, parts, (root.lo, root.hi))
+        _record(report, violation)
+        if violation is None:
+            counts["threshold_matches" if (s, parts) == threshold else "certified_above"] += 1
     report.extras.update(counts)
 
 
@@ -838,8 +834,8 @@ def _check_edge_monotonicity(g: Graph, edge: Sequence[int], dominated=None) -> d
     Perron-Frobenius (Berman & Plemmons, 1994, ch. 2, Wielandt's theorem)."""
     u, v = edge
     if dominated is None:
-        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-            raise ParameterError(f"invalid edge ({u},{v})")
+        if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
+            raise ParameterError(f"invalid edge ({u},{v}): not a pair missing from G")
         dist_g, dist_h = _distance_matrices(_edge_stack(g, [edge])[1])
         dominated = _dominated(dist_h, dist_g)
     if dominated:
@@ -855,20 +851,28 @@ def _check_family_ordering(g: Graph | None, n: int, s: int, parts: list[int]) ->
     return _check_spec_order("family-ordering", g, n, spec, ref, s=s, parts=list(parts))
 
 
+def _ordering_sweep() -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(n, s, parts), by n, of every spec that family ordering compares with
+    its canonical shape: even order 10..64 (no lower order has one), q >= s+2
+    parts, at most s of them 1, and not canonical_parts(n, s, q) itself."""
+    for n in range(10, VERTEX_CAP + 1, 2):
+        specs = _specs(n, every_q=True, fractional=True)
+        yield from ((n, s, p) for s, p in specs if p != canonical_parts(n, s, len(p)))
+
+
 def lemma_suites(
     seed: int = 0,
     monotonicity_graphs: int = 200,
     ordering_specs: int = 100,
     corollary_span: tuple[int, int] = (14, 40),
 ) -> SuiteReport:
-    """Randomized checks of the supporting inequalities.
+    """Exact checks of the supporting inequalities, with no eigensolve.
 
-    Adding an edge strictly lowers the radius, decided exactly by one
-    dominance test over the stacked BFS of G and every G + uv, whose adjacency
-    matrices are copies of G's with one entry pair set; random valid
-    hub-and-cliques graphs sit strictly above their canonical shape; and the
-    two thresholds compare on even orders in `corollary_span`, these two
-    exactly on quotients. No graph is eigensolved.
+    Adding an edge to a random graph strictly lowers the radius: one dominance
+    test over the stacked BFS of G and every G + uv. The first `ordering_specs`
+    specs of _ordering_sweep sit strictly above their canonical shape, whole
+    through extras "ordering_complete_through" (n = 20 at 100, 40 at 6,151), and
+    the two thresholds compare on even orders in `corollary_span`, on quotients.
     """
     if min(monotonicity_graphs, ordering_specs) < 0:
         raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
@@ -895,9 +899,11 @@ def lemma_suites(
         edge_checks += len(missing)
     report.extras["edge_checks"] = edge_checks
 
-    for _ in range(ordering_specs):
-        spec = _random_ordering_spec(rng)
-        _record(report, _check_family_ordering(None, spec.n, spec.s, list(spec.parts)))
+    sweep = _ordering_sweep()
+    for n, s, parts in itertools.islice(sweep, ordering_specs):
+        _record(report, _check_family_ordering(None, n, s, list(parts)))
+    # the first spec left undecided, if any, opens the first order not complete
+    report.extras["ordering_complete_through"] = next(sweep, (VERTEX_CAP + 2,))[0] - 2
 
     report.cases += corollary.cases
     report.violations.extend(corollary.violations)
@@ -905,23 +911,6 @@ def lemma_suites(
 
     report.seconds = time.perf_counter() - t0
     return report
-
-
-def _random_ordering_spec(rng: random.Random) -> FamilySpec:
-    # valid strict instances: q >= s+2 odd parts, part s+1 at least 3,
-    # largest part strictly below n - 3q + s + 3
-    while True:
-        s = rng.randint(1, 3)
-        q = s + 2 + (2 if rng.random() < 0.3 else 0)
-        n_min = 2 * s + 3 * (q - s) + 2
-        n = rng.randrange(n_min + n_min % 2, 41, 2)
-        slack = (n + s - 3 * q) // 2
-        parts = [1] * s + [3] * (q - s)
-        for _ in range(slack):
-            parts[rng.randrange(q)] += 2
-        parts.sort()
-        if parts[s] >= 3 and parts[-1] < n - 3 * q + s + 3:
-            return FamilySpec(n, s, tuple(parts))
 
 
 # ---------------------------------------------------------------------------

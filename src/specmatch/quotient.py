@@ -21,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import ParameterError, canonical_parts
 
@@ -180,15 +180,23 @@ def family_quartic_root(n: int, s: int, width: Fraction = DEFAULT_ROOT_WIDTH) ->
 # saturated specs: K_s v (K_{n1} u ... u K_{nq}) as a quotient, with no graph
 
 
-def _odd_parts(total: int, count: int, low: int = 1) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples of `count` odd parts >= low that sum to `total`."""
-    if count == 1:
-        return [(total,)] if total >= low and total % 2 else []
-    return [
-        (part, *rest)
-        for part in range(low, total // count + 1, 2)
-        for rest in _odd_parts(total - part, count - 1, part)
-    ]
+def _specs(n: int, every_q=False, fractional=False) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Saturated specs (s, parts) of order n, s >= 1 and s + 2 nondecreasing odd
+    parts, by s, then parts lexicographically. `every_q` admits every q >= s + 2,
+    `fractional` at most s parts 1 (a fractional perfect matching). parts() puts
+    `fewest` parts >= low (more, for every_q), at most `ones` of them 1."""
+
+    def parts(total: int, fewest: int, ones: int, low: int) -> Iterator[tuple[int, ...]]:
+        low = low if ones else max(low, 3)
+        if fewest > 1 or every_q:
+            for part in range(low, total // max(fewest, 2) + 1, 2):
+                for rest in parts(total - part, fewest - 1, ones - (part == 1), part):
+                    yield (part, *rest)
+        if fewest <= 1 and total >= low and total % 2:
+            yield (total,)
+
+    for s in range(1, n // 2):
+        yield from ((s, p) for p in parts(n - s, s + 2, s if fractional else n, 1))
 
 
 def _saturated_quotient(s: int, parts: tuple[int, ...]) -> list[list[int]]:

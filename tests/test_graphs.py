@@ -1,5 +1,6 @@
 """Graph type, family constructors, set operations, and text formats."""
 
+import itertools
 import random
 
 import numpy as np
@@ -189,8 +190,9 @@ def test_extremal_family_shape():
 
 
 def test_barrier_family_rows_match_joined_cliques():
-    # rows written directly against the public join / union / clique chain
-    from specmatch.harness import _random_ordering_spec
+    # rows written directly against the public join / union / clique chain,
+    # on every 12th spec of the family-ordering sweep through n = 40
+    from specmatch.harness import _ordering_sweep
 
     def reference(spec):
         inner = complete_graph(spec.parts[0])
@@ -198,8 +200,10 @@ def test_barrier_family_rows_match_joined_cliques():
             inner = disjoint_union(inner, complete_graph(p))
         return join(complete_graph(spec.s), inner) if spec.s else inner
 
-    rng = random.Random(3)
-    specs = [_random_ordering_spec(rng) for _ in range(500)]
+    sweep = itertools.takewhile(lambda spec: spec[0] <= 40, _ordering_sweep())
+    specs = [FamilySpec(*spec) for spec in itertools.islice(sweep, 0, None, 12)]
+    assert len(specs) >= 500 and any(spec.q >= spec.s + 4 for spec in specs)
+    swept = len(specs)
     specs += [
         FamilySpec(n, k, (1,) * k + (3, n - 2 * k - 3))
         for k in range(1, 8)
@@ -208,7 +212,19 @@ def test_barrier_family_rows_match_joined_cliques():
     specs += [FamilySpec(1, 0, (1,)), FamilySpec(9, 0, (1, 3, 5)), FamilySpec(64, 0, (1, 63))]
     for spec in specs:
         assert barrier_family(spec).rows == reference(spec).rows, spec
-    assert barrier_family(specs[500]) == extremal_family(8, 1)
+    assert barrier_family(specs[swept]) == extremal_family(8, 1)
+    with pytest.raises(CapacityError):
+        barrier_family(FamilySpec(65, 2, (1, 1, 61)))
+
+
+def test_barrier_family_checks_the_cap_before_building(monkeypatch):
+    # rows are n-bit ints, so an order past the cap must fail before any is built
+    import specmatch.graphs as graphs
+
+    def no_build(spec):
+        raise AssertionError("a spec past the cap was laid out")
+
+    monkeypatch.setattr(graphs, "family_partition", no_build)
     with pytest.raises(CapacityError):
         barrier_family(FamilySpec(65, 2, (1, 1, 61)))
 

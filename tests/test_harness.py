@@ -458,7 +458,29 @@ def test_scan_validation():
 
 
 def _saturated_specs(n):
-    return [(s, parts) for s in range(1, n // 2) for parts in harness._odd_parts(n - s, s + 2)]
+    return list(harness._specs(n))
+
+
+def test_ordering_sweep_is_every_noncanonical_spec_by_order():
+    # an independent count: multisets of q >= s+2 odd parts summing to n - s,
+    # at most s of them 1, other than the canonical shape, against the sweep
+    # through n = 20 (which a default lemma_suites run decides whole); past
+    # s ones every part is >= 3, so q <= s + (n - 2s) / 3
+    def brute(n):
+        specs = []
+        for s in range(1, n // 2):
+            for q in range(s + 2, s + (n - 2 * s) // 3 + 1):
+                for parts in itertools.combinations_with_replacement(range(1, n, 2), q):
+                    if sum(parts) == n - s and parts.count(1) <= s:
+                        if parts != canonical_parts(n, s, q):
+                            specs.append((n, s, parts))
+        return sorted(specs)
+
+    swept = list(itertools.takewhile(lambda spec: spec[0] <= 20, harness._ordering_sweep()))
+    assert swept == sorted(swept)
+    counts = [sum(1 for spec in swept if spec[0] == n) for n in range(10, 21, 2)]
+    assert counts == [1, 3, 7, 14, 25, 42]
+    assert swept == [spec for n in range(4, 21, 2) for spec in brute(n)]
 
 
 def _merged_cells(spec):
@@ -778,6 +800,18 @@ def test_replay_rejects_malformed_records():
             replay_violation(record)
 
 
+def test_edge_monotonicity_rejects_an_edge_already_in_g():
+    # "adding" an edge G has leaves G unchanged: no claim of the lemma, so no
+    # violation either; the suite's stack holds only missing edges
+    g = extremal_family(14, 1)
+    record = {"check": "edge-monotonicity", "witness": write_graph6(g), "data": {"edge": [0, 1]}}
+    with pytest.raises(ParameterError, match="invalid edge"):
+        replay_violation(record)
+    with pytest.raises(ParameterError, match="invalid edge"):
+        harness._check_edge_monotonicity(g, (1, 0))
+    assert harness._check_edge_monotonicity(g, (1, 2)) is None
+
+
 def test_replayers_return_false_on_healthy_witnesses():
     star6 = join(complete_graph(1), empty_graph(5))
     records = [
@@ -861,8 +895,9 @@ FAILING = {
     "saturated-order": (_ABOVE14, {"n": 14, "s": 1, "parts": [1, 5, 7], "reference": ["99", "99"]}),
     "probe-order": (complete_graph(14), {"k": 1}),
     "corollary-order": (_PLAIN14, {"n": 14}),
-    # the edge is already present, so "adding" it leaves the graph unchanged
-    "edge-monotonicity": (_P4, {"edge": [0, 1]}),
+    # a missing edge, on the stack that _lost_edge doctors: the lemma holds for
+    # every missing edge of a connected graph, and one G has is rejected
+    "edge-monotonicity": (_P4, {"edge": [0, 3]}),
     "family-ordering": (_FRAC14, {"n": 14, "s": 1, "parts": [1, 5, 7]}),
 }
 
@@ -880,9 +915,25 @@ def _foreign_threshold(monkeypatch):
     monkeypatch.setattr(harness, "threshold_reference", lambda n: real(n + 2))
 
 
+def _lost_edge(monkeypatch):
+    """Drop an edge from 0 to the last vertex from its copy in _edge_stack, so
+    that G + uv keeps D(G) and the edge-monotonicity check fails on it."""
+    real = harness._edge_stack
+
+    def lossy(g, edges=None):
+        pairs, stack = real(g, edges)
+        for i, edge in enumerate(pairs, 1):
+            if edge == (0, g.n - 1):
+                stack[i] = stack[0]
+        return pairs, stack
+
+    monkeypatch.setattr(harness, "_edge_stack", lossy)
+
+
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_check_table_replays(check, monkeypatch):
     _foreign_threshold(monkeypatch)
+    _lost_edge(monkeypatch)
     g, data = HEALTHY[check]
     assert CHECKS[check](g, **data) is None
     record = {"check": check, "witness": write_graph6(g), "detail": "", "data": data}
@@ -954,6 +1005,17 @@ def test_suites_decide_through_the_check_table(check, monkeypatch):
         assert any(v["detail"] == "stub" for v in report.violations), report.suite
 
 
+def test_lemma_suites_decide_every_ordering_spec_through_n_40():
+    report = lemma_suites(0, monotonicity_graphs=0, ordering_specs=6151)
+    assert report.passed
+    assert report.cases == 6151 + report.extras["edge_checks"] + 14
+    assert report.extras["ordering_complete_through"] == 40
+    # the default run is whole through n = 20 (92 specs), then 8 at n = 22
+    for specs, through in ((0, 8), (92, 20), (100, 20), (6150, 38)):
+        small = lemma_suites(0, monotonicity_graphs=0, ordering_specs=specs, corollary_span=(14, 14))
+        assert small.extras["ordering_complete_through"] == through, specs
+
+
 def test_lemma_suites_small_run():
     report = lemma_suites(
         seed=0,
@@ -972,6 +1034,7 @@ def test_edge_monotonicity_replays_records_that_carry_tol(monkeypatch):
     # records written while these checks took a tolerance carry "tol"; the
     # predicates take none and replay drops the key
     _foreign_threshold(monkeypatch)
+    _lost_edge(monkeypatch)
     for check in ("edge-monotonicity", "probe-order", "quartic-agreement", "threshold-order"):
         for (g, data), fails in ((HEALTHY[check], False), (FAILING[check], True)):
             record = {"check": check, "witness": write_graph6(g), "detail": "",
