@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -15,6 +16,10 @@ import numpy as np
 
 VERTEX_CAP = 64
 _BRUTE_CAP = 16  # order cap of the exponential subset tables and oracles
+_TRANSPOSE_SWAPS = [  # (shift, mask) of Graph.from_rows: a column times a row pattern
+    (63 * j, sum(1 << u for u in range(64) if u & j) * sum(1 << 64 * v for v in range(64) if not v & j))
+    for j in (32, 16, 8, 4, 2, 1)
+]
 
 
 class CapacityError(ValueError):
@@ -82,6 +87,10 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
+        """Symmetry is checked on one int A, row v at bit 64v of a 64 x 64 bit matrix,
+        transposed by six delta swaps: for j = 32, ..., 1 each bit (v, u) with bit j
+        clear in v and set in u trades places with (v + j, u - j), 63j bits higher. The
+        lowest bit of A & ~A^T, divmod 64, is the first one-sided (v, u) row-major."""
         rows = tuple(rows)
         g = object.__new__(cls)
         g.n = len(rows)
@@ -94,10 +103,11 @@ class Graph:
                 raise ParameterError(f"row {v} has bits beyond n={g.n}")
             if row >> v & 1:
                 raise ParameterError(f"loop at vertex {v}")
-        a = _adjacency_matrices([g])[0]
-        asymmetric = a > a.T
-        if asymmetric.any():  # row-major: the first v, then its first u
-            v, u = divmod(int(np.flatnonzero(asymmetric)[0]), g.n)
+        t = a = int.from_bytes(struct.pack(f"<{g.n}Q", *rows), "little")
+        for shift, mask in _TRANSPOSE_SWAPS:
+            t ^= (d := (t ^ t >> shift) & mask) ^ d << shift
+        if asymmetric := a & ~t:  # row-major: the first v, then its first u
+            v, u = divmod((asymmetric & -asymmetric).bit_length() - 1, 64)
             raise ParameterError(f"asymmetric adjacency at ({v},{u})")
         return g
 

@@ -75,6 +75,7 @@ _BLOCK_BITS = 18
 # wiener_exact_pruned stays at 0 only because perfbench's Scan8 funnel sums it
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
 _PROBE_KEYS = ("floor_decided", "eigensolves")
+_ORDERING_SWEEP_SIZE = 174_877  # specs _ordering_sweep yields, counted in its test
 ENUMERATE_CAP = 8
 
 
@@ -682,13 +683,15 @@ def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, in
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
         base += size
-    drop_cross = rng.random() < 0.25
-    for u in range(s):
-        for v in range(s, n):
-            if not drop_cross or rng.random() < 0.9:
+    hub = (1 << s) - 1
+    if rng.random() < 0.25:  # drop about a tenth of the hub's cross edges
+        for u, v in itertools.product(range(s), range(s, n)):
+            if rng.random() < 0.9:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph.from_rows(rows), (1 << s) - 1
+    else:  # join the hub to every other vertex
+        rows = [row | (hub if v >= s else (1 << n) - 1 - hub) for v, row in enumerate(rows)]
+    return Graph.from_rows(rows), hub
 
 
 def check_probe_sample(g: Graph, k: int, ref_root=None, counts=None) -> dict | None:
@@ -869,13 +872,14 @@ def lemma_suites(
     """Exact checks of the supporting inequalities, with no eigensolve.
 
     Adding an edge to a random graph strictly lowers the radius: one dominance
-    test over the stacked BFS of G and every G + uv. The first `ordering_specs`
-    specs of _ordering_sweep sit strictly above their canonical shape, whole
-    through extras "ordering_complete_through" (n = 20 at 100, 40 at 6,151), and
+    test over the stacked BFS of G and every G + uv. The first `ordering_specs` of
+    the 174,877 specs of _ordering_sweep sit strictly above their canonical shape,
+    whole through extras "ordering_complete_through" (n = 20 at 100, 40 at 6,151), and
     the two thresholds compare on even orders in `corollary_span`, on quotients.
     """
-    if min(monotonicity_graphs, ordering_specs) < 0:
-        raise ParameterError(f"need counts >= 0, got {monotonicity_graphs}, {ordering_specs}")
+    if min(monotonicity_graphs, ordering_specs) < 0 or ordering_specs > _ORDERING_SWEEP_SIZE:
+        raise ParameterError(f"need counts >= 0 and ordering_specs <= {_ORDERING_SWEEP_SIZE}, "
+                             f"got {monotonicity_graphs}, {ordering_specs}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = SuiteReport(

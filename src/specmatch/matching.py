@@ -273,31 +273,33 @@ def matching_certificate(g: Graph) -> tuple[Matching, TutteCertificate | None]:
 
 
 def _cover_matching(g: Graph) -> tuple[list[int], list[int]]:
-    """Maximum matching of the double cover (left u -- right v iff uv in E) by
-    Kuhn's algorithm, as the lists (match_left, match_right), -1 if exposed."""
+    """Maximum matching of the double cover (left u -- right v iff uv in E) by Kuhn's
+    algorithm, as the lists (match_left, match_right), -1 if exposed. One search per left
+    vertex, by degree, takes its lowest exposed neighbour if any (Duff's lookahead, 1981),
+    else recurses through its unvisited ones: matched stays matched, so still maximum."""
     n = g.n
     rows = g.rows
     match_right = [-1] * n  # right vertex -> left vertex
     match_left = [-1] * n
+    exposed = (1 << n) - 1  # right vertices not yet matched
     visited = 0  # right vertices seen by the current search
 
     def try_augment(v: int) -> bool:
-        nonlocal visited
-        while free := rows[v] & ~visited:  # unvisited neighbours in increasing order
+        nonlocal exposed, visited
+        while free := rows[v] & exposed or rows[v] & ~visited:
             low = free & -free
             visited |= low
             u = low.bit_length() - 1
-            if match_right[u] == -1 or try_augment(match_right[u]):
+            if low & exposed or try_augment(match_right[u]):
+                exposed &= ~low
                 match_right[u] = v
                 match_left[v] = u
                 return True
         return False
 
-    order = sorted(range(n), key=g.degree)
-    for v in order:
-        if match_left[v] == -1:
-            visited = 0
-            try_augment(v)
+    for v in sorted(range(n), key=g.degree):
+        visited = 0
+        try_augment(v)
     return match_left, match_right
 
 

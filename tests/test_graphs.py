@@ -9,6 +9,7 @@ import pytest
 from specmatch import (
     CapacityError,
     FamilySpec,
+    FractionalWitness,
     Graph,
     Graph6Error,
     ParameterError,
@@ -20,6 +21,8 @@ from specmatch import (
     extremal_family,
     extremal_partition,
     family_partition,
+    fractional_certificate,
+    has_fractional_pm,
     is_connected,
     is_k_connected,
     isolated_count,
@@ -35,6 +38,7 @@ from specmatch import (
     write_edge_list,
     write_graph6,
 )
+import specmatch.harness as harness
 from specmatch.graphs import _popcounts
 
 
@@ -117,6 +121,32 @@ def test_from_rows_names_the_first_asymmetric_pair():
             Graph.from_rows(rows[:loop] + [rows[loop] | 1 << loop] + rows[loop + 1:])
     with pytest.raises(ParameterError, match="beyond"):
         Graph.from_rows([-1, 0])
+
+
+@pytest.mark.parametrize("n,k,draws", [(14, 1, 300), (22, 2, 100)])
+def test_probe_draws_carry_their_certificates_and_reject_bent_copies(n, k, draws):
+    rng = random.Random(38)
+    bend = random.Random(n)
+    kinds = set()
+    for _ in range(draws):
+        sample = harness._random_barrier_graph(rng, n, k)
+        if sample is None:
+            continue
+        g = sample[0]
+        cert = fractional_certificate(g)
+        assert cert.holds_for(g), write_graph6(g)
+        assert isinstance(cert, FractionalWitness) == has_fractional_pm(g)
+        kinds.add(type(cert))
+        bent = list(g.rows)
+        for pair in bend.sample(list(itertools.combinations(range(n), 2)), 3):
+            v, u = bend.sample(pair, 2)
+            bent[v] ^= 1 << u  # three one-sided pairs; the message names the first
+        with pytest.raises(ParameterError) as err:
+            Graph.from_rows(bent)
+        assert str(err.value) == "asymmetric adjacency at ({},{})".format(
+            *_first_asymmetric_pair(bent)
+        )
+    assert len(kinds) == 2  # draws with and without a fractional perfect matching
 
 
 def test_graph_equality_and_hash_follow_the_rows():

@@ -1,5 +1,6 @@
 """Verification suites: references, scans, probes, identities, and replay."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -481,6 +482,43 @@ def test_ordering_sweep_is_every_noncanonical_spec_by_order():
     counts = [sum(1 for spec in swept if spec[0] == n) for n in range(10, 21, 2)]
     assert counts == [1, 3, 7, 14, 25, 42]
     assert swept == [spec for n in range(4, 21, 2) for spec in brute(n)]
+
+
+@functools.cache
+def _partitions(m, r):
+    # partitions of m into at most r parts
+    if m == 0:
+        return 1
+    if r == 0:
+        return 0
+    return _partitions(m, r - 1) + (_partitions(m - r, r) if m >= r else 0)
+
+
+def test_ordering_sweep_size_is_an_independent_count():
+    # q odd parts summing to n - s, j <= s of them 1: the other q - j are
+    # 3 + 2a with the a a partition of (n - s - 3q + 2j) / 2 into at most q - j
+    # parts, and q = n - s mod 2; the canonical shape is one of them when its
+    # largest part n - 3q + s + 3 is at least 3
+    total = 0
+    for n in range(10, harness.VERTEX_CAP + 1, 2):
+        for s in range(1, n // 2):
+            for q in range(s + 2, n - s + 1, 2):
+                for j in range(min(s, q) + 1):
+                    if (twice := n - s - 3 * q + 2 * j) >= 0:
+                        total += _partitions(twice // 2, q - j)
+                total -= n + s >= 3 * q
+    assert total == harness._ORDERING_SWEEP_SIZE == 174_877
+    assert sum(1 for _ in harness._ordering_sweep()) == harness._ORDERING_SWEEP_SIZE
+
+
+def test_lemma_suites_reject_more_ordering_specs_than_the_sweep_has(monkeypatch):
+    def decided(*args, **kwargs):
+        raise AssertionError("decided a case before checking ordering_specs")
+
+    for name in ("corollary_comparison", "_check_family_ordering", "_edge_stack"):
+        monkeypatch.setattr(harness, name, decided)
+    with pytest.raises(ParameterError, match="ordering_specs <= 174877, got 0, 174878"):
+        lemma_suites(0, 0, 174_878)
 
 
 def _merged_cells(spec):

@@ -273,12 +273,19 @@ def test_fractional_against_exhaustive_oracle():
         _checked_matching_certificate(g)
 
 
-def _kuhn_reference(g):
-    # plain Kuhn on the double cover: visited list, neighbours in increasing order
+def _kuhn_reference(g, lookahead=True):
+    # Kuhn on the double cover by has_edge loops: searches by increasing
+    # degree, a visited list, neighbours in increasing order; with lookahead a
+    # search first takes its lowest unmatched neighbour
     match_right = [-1] * g.n
     match_left = [-1] * g.n
 
     def try_augment(v, visited):
+        for u in range(g.n):
+            if lookahead and g.has_edge(v, u) and match_right[u] == -1:
+                match_right[u] = v
+                match_left[v] = u
+                return True
         for u in range(g.n):
             if g.has_edge(v, u) and not visited[u]:
                 visited[u] = True
@@ -294,13 +301,27 @@ def _kuhn_reference(g):
     return match_left, match_right
 
 
-def test_cover_matching_equals_plain_kuhn():
+def test_cover_matching_equals_lookahead_kuhn():
     rng = random.Random(53)
     graphs = [complete_graph(n) for n in range(31)] + [empty_graph(n) for n in range(31)]
     for n in range(31):
         graphs += [_random_graph(rng, n, rng.uniform(0.05, 0.6)) for _ in range(8)]
     for g in graphs:
-        assert _cover_matching(g) == _kuhn_reference(g), write_graph6(g)
+        match_left, match_right = _cover_matching(g)
+        assert (match_left, match_right) == _kuhn_reference(g), write_graph6(g)
+        # as large as plain Kuhn's, and perfect exactly when the oracle says so
+        assert match_left.count(-1) == _kuhn_reference(g, lookahead=False)[0].count(-1)
+        if g.n <= 12:
+            assert (-1 not in match_left) == has_fractional_pm_exhaustive(g), write_graph6(g)
+
+
+def test_cover_matching_recurses_when_the_lookahead_is_blocked():
+    # the path 0-1-3-4-2-5 is searched from 0, 5, 1, 2, 3, 4; lookahead alone
+    # matches 0, 5, 1, 2 to 1, 2, 0, 4 and leaves 3 with both neighbours taken,
+    # so 3 takes 4 from 2, which moves on to the free 5
+    g = Graph(6, [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5)])
+    assert _cover_matching(g) == ([1, 0, 5, 4, 3, 2], [1, 0, 5, 4, 3, 2])
+    assert _cover_matching(g) == _kuhn_reference(g)
 
 
 def test_witness_rejects_wrong_graph():
