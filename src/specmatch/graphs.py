@@ -20,6 +20,7 @@ _TRANSPOSE_SWAPS = [  # (shift, mask) of Graph.from_rows: a column times a row p
     (63 * j, sum(1 << u for u in range(64) if u & j) * sum(1 << 64 * v for v in range(64) if not v & j))
     for j in (32, 16, 8, 4, 2, 1)
 ]
+_DIAGONAL = sum(1 << 65 * v for v in range(64))  # the loop bits (v, v) of that matrix
 
 
 class CapacityError(ValueError):
@@ -90,7 +91,8 @@ class Graph:
         """Symmetry is checked on one int A, row v at bit 64v of a 64 x 64 bit matrix,
         transposed by six delta swaps: for j = 32, ..., 1 each bit (v, u) with bit j
         clear in v and set in u trades places with (v + j, u - j), 63j bits higher. The
-        lowest bit of A & ~A^T, divmod 64, is the first one-sided (v, u) row-major."""
+        lowest bit of A & ~A^T, divmod 64, is the first one-sided (v, u) row-major.
+        Loops are A's diagonal bits 65v; min and max catch rows outside [0, 2^n)."""
         rows = tuple(rows)
         g = object.__new__(cls)
         g.n = len(rows)
@@ -98,12 +100,15 @@ class Graph:
         if g.n > VERTEX_CAP:
             raise CapacityError(f"order {g.n} exceeds cap {VERTEX_CAP}")
         full = (1 << g.n) - 1
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise ParameterError(f"row {v} has bits beyond n={g.n}")
-            if row >> v & 1:
-                raise ParameterError(f"loop at vertex {v}")
+        if rows and (min(rows) < 0 or max(rows) > full):  # a loop may come first
+            for v, row in enumerate(rows):
+                if row & ~full:
+                    raise ParameterError(f"row {v} has bits beyond n={g.n}")
+                if row >> v & 1:
+                    raise ParameterError(f"loop at vertex {v}")
         t = a = int.from_bytes(struct.pack(f"<{g.n}Q", *rows), "little")
+        if loops := a & _DIAGONAL:
+            raise ParameterError(f"loop at vertex {((loops & -loops).bit_length() - 1) // 65}")
         for shift, mask in _TRANSPOSE_SWAPS:
             t ^= (d := (t ^ t >> shift) & mask) ^ d << shift
         if asymmetric := a & ~t:  # row-major: the first v, then its first u

@@ -47,6 +47,7 @@ from .graphs import (
     write_graph6,
 )
 from .matching import (
+    FractionalWitness,
     has_fractional_pm,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
@@ -75,6 +76,7 @@ _BLOCK_BITS = 18
 # wiener_exact_pruned stays at 0 only because perfbench's Scan8 funnel sums it
 _FUNNEL_KEYS = ("wiener_exact_pruned", "extremal_matches", "eigensolves", "strictly_greater")
 _PROBE_KEYS = ("floor_decided", "eigensolves")
+_ONE, _HALF = Fraction(1), Fraction(1, 2)  # the probe witnesses' edge weights
 _ORDERING_SWEEP_SIZE = 174_877  # specs _ordering_sweep yields, counted in its test
 ENUMERATE_CAP = 8
 
@@ -635,63 +637,53 @@ def _saturated_order_scan(report: SuiteReport, n: int, root: CertifiedRoot) -> N
 # randomized probes of the fractional-matching threshold
 
 
-def _random_odd_parts(rng: random.Random, total: int, q: int, max_ones: int) -> list[int] | None:
-    # q odd parts summing to `total`, at most max_ones equal to 1
-    if total < q or (total - q) % 2:
-        return None
-    for _ in range(64):
-        parts = [1] * q
-        for _ in range((total - q) // 2):
-            parts[rng.randrange(q)] += 2
-        if sum(1 for p in parts if p == 1) <= max_ones:
-            parts.sort()
-            return parts
-    return None
+@functools.cache
+def _probe_specs(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The specs (s, parts) the probe draws from: those of _specs(n, fractional=True)
+    with k <= s <= k + 2, that is s + 2 odd parts, at most s of them 1."""
+    specs = itertools.takewhile(lambda spec: spec[0] <= k + 2, _specs(n, fractional=True))
+    return tuple(spec for spec in specs if spec[0] >= k)
 
 
-def _random_barrier_graph(rng: random.Random, n: int, k: int) -> tuple[Graph, int] | None:
-    """(G, S) for a random G built around a Tutte barrier S, a mask of s >= k
-    vertices: the s+2 odd parts, each a random spanning tree plus extras, make
-    a perfect matching impossible while the (usually universal) hub keeps G
-    k-connected with a fractional matching plausible."""
-    s_cap = (n - 6) // 2
-    roll = rng.random()
-    s = k if roll < 0.6 or k + 1 > s_cap else (k + 1 if roll < 0.85 or k + 2 > s_cap else k + 2)
-    q = s + 2
-    if rng.random() < 0.2 and n - s >= 3 * (s + 4) - 2 * s:
-        q = s + 4
-    parts = _random_odd_parts(rng, n - s, q, max_ones=s)
-    if parts is None:
-        return None
+def _random_barrier_graph(
+    rng: random.Random, n: int, k: int
+) -> tuple[Graph, int, FractionalWitness]:
+    """(G, S, w): a random G built around a Tutte barrier S, the hub 0..s-1 of a spec
+    (s, parts) drawn from _probe_specs, and a fractional perfect matching w of G.
+    Singleton parts are matched to hub vertices (weight 1), larger parts lie on
+    Hamiltonian cycles (weight 1/2), the last through the hub vertices left over.
+    The s+2 odd parts forbid a perfect matching, and the hub, usually universal,
+    keeps G k-connected."""
+    s, parts = rng.choice(_probe_specs(n, k))
     rows = [0] * n
-    hub_p = rng.uniform(0.5, 1.0)
-    for u, v in itertools.combinations(range(s), 2):
-        if rng.random() < hub_p:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    base = s
-    for size in parts:
+
+    def join(pairs, p):  # each pair an edge with probability p
+        for u, v in pairs:
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+
+    join(itertools.combinations(range(s), 2), rng.uniform(0.5, 1.0))
+    ones = parts.count(1)
+    weights = [((u, s + u), _ONE) for u in range(ones)]
+    base = s + ones
+    for size in parts[ones:]:
         order = list(range(base, base + size))
         rng.shuffle(order)
-        for i in range(1, size):
-            u, v = order[i], order[rng.randrange(i)]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        p = rng.uniform(0.3, 0.9)
-        for u, v in itertools.combinations(range(base, base + size), 2):
-            if not rows[u] >> v & 1 and rng.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        if base + size == n:
+            order += range(ones, s)  # the hub vertices left over
+        weights += (((u, v) if u < v else (v, u), _HALF) for u, v in zip(order[-1:] + order, order))
+        join(itertools.combinations(range(base, base + size), 2), rng.uniform(0.3, 0.9))
         base += size
+    for (u, v), _ in weights:  # the witness's edges, set before the hub's cross edges
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     hub = (1 << s) - 1
     if rng.random() < 0.25:  # drop about a tenth of the hub's cross edges
-        for u, v in itertools.product(range(s), range(s, n)):
-            if rng.random() < 0.9:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        join(itertools.product(range(s), range(s, n)), 0.9)
     else:  # join the hub to every other vertex
         rows = [row | (hub if v >= s else (1 << n) - 1 - hub) for v, row in enumerate(rows)]
-    return Graph.from_rows(rows), hub
+    return Graph.from_rows(rows), hub, FractionalWitness(tuple(weights))
 
 
 def check_probe_sample(g: Graph, k: int, ref_root=None, counts=None) -> dict | None:
@@ -726,9 +718,10 @@ def probe_extremal_bound(
     Samples come from randomized barrier templates and are counted once the
     three hypotheses hold. No perfect matching is proved by the template's
     Tutte set, the hub S with o(G-S) >= |S|+2, and the blossom decides only
-    when S does not certify. With exploratory=True, orders below the proven
-    range 8k+6 are admitted and failures are expected to be possible; the
-    report is flagged accordingly. extras "floor_decided" and "eigensolves"
+    when S does not certify; the fractional perfect matching by the witness
+    the sampler builds with the graph. With exploratory=True, orders below the
+    proven range 8k+6 are admitted and failures are expected to be possible;
+    the report is flagged accordingly. extras "floor_decided" and "eigensolves"
     split the cases by check_probe_sample's deciding stage.
     """
     if k < 1 or n % 2 or n < 2 * k + 6:
@@ -746,7 +739,7 @@ def probe_extremal_bound(
         report.extras["exploratory"] = True
     ref_root = family_quartic_root(n, k)
     report.extras["reference_mu"] = [float(ref_root.lo), float(ref_root.hi)]
-    rejected = {"template": 0, "connectivity": 0, "fractional": 0, "perfect": 0}
+    rejected = {"connectivity": 0, "perfect": 0}
     counts = dict.fromkeys(_PROBE_KEYS, 0)
     attempts = 0
     attempt_cap = 200 * trials + 1000
@@ -757,20 +750,15 @@ def probe_extremal_bound(
                 f"({report.cases}/{trials} valid samples)"
             )
         attempts += 1
-        sample = _random_barrier_graph(rng, n, k)
-        if sample is None:
-            rejected["template"] += 1
-            continue
-        g, hub = sample
+        g, hub, witness = _random_barrier_graph(rng, n, k)
         if not is_k_connected(g, k):
             rejected["connectivity"] += 1
             continue
         if odd_components(g, hub) < hub.bit_count() + 2 and has_perfect_matching(g):
             rejected["perfect"] += 1
             continue
-        if not has_fractional_pm(g):
-            rejected["fractional"] += 1
-            continue
+        if not witness.holds_for(g):
+            raise RuntimeError("sampler built a fractional witness that does not hold")
         _record(report, check_probe_sample(g, k, ref_root, counts))
     report.extras["attempts"] = attempts
     report.extras["rejected"] = rejected

@@ -12,6 +12,7 @@ G-S. Exponential brute-force oracles back all of it at small order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -314,18 +315,23 @@ def has_fractional_pm(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class FractionalWitness:
-    """Half-integral edge weights certifying a fractional perfect matching."""
+    """Edge weights in [0, 1] summing to 1 at each vertex, checked in integers."""
 
     weights: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def holds_for(self, g: Graph) -> bool:
-        sums = [Fraction(0)] * g.n
+        scale = 1
+        for den in {w.denominator for _, w in self.weights}:  # folded, no argument tuple
+            scale = math.lcm(scale, den)
+        sums = [0] * g.n
         for (u, v), w in self.weights:
-            if not g.has_edge(u, v) or not 0 <= w <= 1:
+            num, den = w.numerator, w.denominator
+            if not g.has_edge(u, v) or not 0 <= num <= den:
                 return False
-            sums[u] += w
-            sums[v] += w
-        return all(s == 1 for s in sums)
+            share = num * (scale // den)
+            sums[u] += share
+            sums[v] += share
+        return sums.count(scale) == g.n
 
 
 def fractional_certificate(g: Graph) -> FractionalWitness | IsolationCertificate:

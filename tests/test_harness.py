@@ -20,6 +20,7 @@ from specmatch import (
     barrier_family,
     char_poly,
     complete_graph,
+    components,
     corollary_comparison,
     distance_matrix,
     distance_spectral_radius,
@@ -28,6 +29,7 @@ from specmatch import (
     enumerate_graphs,
     extremal_family,
     family_partition,
+    fractional_certificate,
     has_fractional_pm_exhaustive,
     has_perfect_matching,
     identity_suite,
@@ -621,36 +623,67 @@ def test_probe_within_proven_range():
     assert report.passed
     assert report.cases == 60
     assert report.extras["attempts"] >= 60
-    assert set(report.extras["rejected"]) == {
-        "template", "connectivity", "fractional", "perfect",
-    }
+    assert set(report.extras["rejected"]) == {"connectivity", "perfect"}
     assert "exploratory" not in report.extras
 
 
 # sha256 of the graph6 strings of the first 200 draws for seeds 0-2, recorded
-# from the edge-list sampler that the bit-row one replaced
+# from the sampler that draws its specs from _probe_specs
 SAMPLER_DIGESTS = {
-    (14, 1): "be6fdce70a23a6956b28f8a87fa87d2ef4472a146af323e04a1c97510c1e82be",
-    (22, 2): "ec62d9659efb63975b00b4d4a52227f85fc5b15506ee4ef3cf7ad393058d2fe4",
+    (14, 1): "c05b602b12eadfa617ee728b103c570a117b4c5a2a8639ec50b4b4091fd473c3",
+    (22, 2): "de319954dfef94fdee6d739616d0a57234996bdfc5c3304ffc562ff3029a31b7",
 }
 
 
 @pytest.mark.parametrize("n,k", sorted(SAMPLER_DIGESTS))
 def test_barrier_sampler_draws_are_frozen(n, k):
+    specs = set(harness._probe_specs(n, k))
     lines = []
     for seed in range(3):
         rng = random.Random(seed)
         for _ in range(200):
-            sample = harness._random_barrier_graph(rng, n, k)
-            if sample is None:
-                lines.append("-")
-                continue
-            g, hub = sample
+            g, hub, witness = harness._random_barrier_graph(rng, n, k)
             lines.append(write_graph6(g))
-            # the hub is a Tutte set of the sample: vertices 0..s-1, s >= k
-            assert hub == (1 << hub.bit_count()) - 1 and hub.bit_count() >= k
-            assert odd_components(g, hub) >= hub.bit_count() + 2
+            # the hub, vertices 0..s-1 with s >= k, is a Tutte set of the sample
+            # leaving the parts of a drawn spec, and the built witness holds
+            s = hub.bit_count()
+            assert hub == (1 << s) - 1 and s >= k
+            assert odd_components(g, hub) == s + 2
+            assert (s, tuple(sorted(c.bit_count() for c in components(g, hub)))) in specs
+            assert witness.holds_for(g), write_graph6(g)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_DIGESTS[n, k]
+
+
+@pytest.mark.parametrize("n,k,size", [(14, 1, 10), (22, 2, 36), (30, 3, 97)])
+def test_probe_specs_are_the_fractional_sweep_at_hubs_k_to_k_plus_2(n, k, size):
+    specs = harness._probe_specs(n, k)
+    assert specs == tuple(spec for spec in harness._specs(n, fractional=True) if k <= spec[0] <= k + 2)
+    assert len(specs) == size
+    for s, parts in specs:
+        assert len(parts) == s + 2 and sum(parts) == n - s and parts.count(1) <= s
+
+
+def test_barrier_sampler_draws_every_probe_spec():
+    rng = random.Random(0)
+    drawn = set()
+    for _ in range(2000):
+        g, hub, _ = harness._random_barrier_graph(rng, 14, 1)
+        drawn.add((hub.bit_count(), tuple(sorted(c.bit_count() for c in components(g, hub)))))
+    assert drawn == set(harness._probe_specs(14, 1))
+
+
+def test_probe_admits_every_fractional_draw_without_a_search(monkeypatch):
+    # the built witness decides the fractional perfect matching: no attempt is
+    # rejected for lacking one, and the double-cover search never runs
+    def searched(g):
+        raise AssertionError("has_fractional_pm called on the probe path")
+
+    monkeypatch.setattr(harness, "has_fractional_pm", searched)
+    monkeypatch.setattr("specmatch.matching.has_fractional_pm", searched)
+    report = probe_extremal_bound(14, 1, 2000)
+    rejected = report.extras["rejected"]
+    assert report.passed and report.cases == 2000
+    assert report.extras["attempts"] == report.cases + rejected["connectivity"] + rejected["perfect"]
 
 
 def test_probe_accepts_only_samples_meeting_the_hypotheses(monkeypatch):
@@ -685,9 +718,9 @@ def test_probe_asks_the_blossom_when_the_hub_does_not_certify(monkeypatch):
         nonlocal draws
         draws += 1
         if draws % 3 == 0:
-            return complete_graph(n), 0
-        sample = draw(rng, n, k)
-        return None if sample is None else (sample[0], 0)
+            return complete_graph(n), 0, fractional_certificate(complete_graph(n))
+        g, _, witness = draw(rng, n, k)
+        return g, 0, witness
 
     def blossom(g):
         blossom_calls.append(g)
@@ -698,8 +731,7 @@ def test_probe_asks_the_blossom_when_the_hub_does_not_certify(monkeypatch):
     report = probe_extremal_bound(14, 1, 40, seed=6)
     assert report.passed and report.cases == 40
     assert report.extras["rejected"]["perfect"] == draws // 3 > 0
-    templated = draws - report.extras["rejected"]["template"]
-    assert len(blossom_calls) == templated - report.extras["rejected"]["connectivity"]
+    assert len(blossom_calls) == draws - report.extras["rejected"]["connectivity"]
 
 
 def test_probe_validation():

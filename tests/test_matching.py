@@ -332,6 +332,33 @@ def test_witness_rejects_wrong_graph():
     assert not bad.holds_for(complete_graph(2))
 
 
+def _witness(weights):
+    return FractionalWitness(tuple(weights.items()))
+
+
+def test_witness_sums_exactly_in_integers():
+    k4 = complete_graph(4)
+    edges = list(k4.edges())
+    assert _witness(dict.fromkeys(edges, Fraction(1, 3))).holds_for(k4)  # not half-integral
+    assert _witness({(0, 1): 1, (2, 3): 1}).holds_for(k4)  # int weights
+    assert not _witness({(0, 1): 1, (2, 3): Fraction(1, 2)}).holds_for(k4)
+    # every vertex sums to 1, but a weight leaves [0, 1]: 2 and -1 round C_4,
+    # and -1/2 on a perfect matching of K_4 with 3/4 on the other four edges
+    c4 = _cycle(4)
+    assert not _witness({(0, 1): 2, (1, 2): -1, (2, 3): 2, (0, 3): -1}).holds_for(c4)
+    negative = {e: Fraction(-1, 2) if e in ((0, 1), (2, 3)) else Fraction(3, 4) for e in edges}
+    assert not _witness(negative).holds_for(k4)
+    # a missing edge: the chord (0, 2) of C_4
+    assert not _witness({(0, 2): 1, (1, 3): 1}).holds_for(c4)
+    # one edge of the triangle off 1/2 by 2^-60 puts two vertex sums at 1 +- 2^-60
+    triangle = complete_graph(3)
+    for eps in (Fraction(1, 2**60), -Fraction(1, 2**60)):
+        weights = dict.fromkeys(triangle.edges(), Fraction(1, 2))
+        assert _witness(weights).holds_for(triangle)
+        weights[0, 1] += eps
+        assert not _witness(weights).holds_for(triangle)
+
+
 def test_fractional_certificate_checks_duality(monkeypatch):
     # the returned set must isolate more than |S| vertices; the check is
     # explicit, so it also runs under python -O
