@@ -675,7 +675,7 @@ def _random_barrier_graph(
         weights += (((u, v) if u < v else (v, u), _HALF) for u, v in zip(order[-1:] + order, order))
         join(itertools.combinations(range(base, base + size), 2), rng.uniform(0.3, 0.9))
         base += size
-    for (u, v), _ in weights:  # the witness's edges, set before the hub's cross edges
+    for (u, v), _ in weights:  # the witness's edges are in G whatever the draws
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     hub = (1 << s) - 1

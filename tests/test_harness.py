@@ -15,6 +15,7 @@ import pytest
 
 from specmatch import (
     FamilySpec,
+    FractionalWitness,
     Graph,
     ParameterError,
     barrier_family,
@@ -732,6 +733,16 @@ def test_probe_asks_the_blossom_when_the_hub_does_not_certify(monkeypatch):
     assert report.passed and report.cases == 40
     assert report.extras["rejected"]["perfect"] == draws // 3 > 0
     assert len(blossom_calls) == draws - report.extras["rejected"]["connectivity"]
+
+
+def test_probe_raises_on_a_sampler_witness_that_does_not_hold(monkeypatch):
+    # a draw whose built witness fails is a sampler bug, not a rejected attempt
+    draw = harness._random_barrier_graph
+    monkeypatch.setattr(
+        harness, "_random_barrier_graph", lambda *a: (*draw(*a)[:2], FractionalWitness(()))
+    )
+    with pytest.raises(RuntimeError, match="witness"):
+        probe_extremal_bound(14, 1, 5)
 
 
 def test_probe_validation():

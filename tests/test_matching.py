@@ -13,6 +13,7 @@ from specmatch import (
     ParameterError,
     TutteCertificate,
     complete_graph,
+    disjoint_union,
     empty_graph,
     enumerate_graphs,
     extremal_family,
@@ -342,6 +343,11 @@ def test_witness_sums_exactly_in_integers():
     assert _witness(dict.fromkeys(edges, Fraction(1, 3))).holds_for(k4)  # not half-integral
     assert _witness({(0, 1): 1, (2, 3): 1}).holds_for(k4)  # int weights
     assert not _witness({(0, 1): 1, (2, 3): Fraction(1, 2)}).holds_for(k4)
+    assert not _witness({(0, 1): 1}).holds_for(complete_graph(3))  # vertex 2 uncovered
+    # denominators 2 and 3 scale by 6: a triangle at 1/2 beside a K_4 at 1/3
+    both = disjoint_union(complete_graph(3), k4)
+    mixed = {(u, v): Fraction(1, 2 if v < 3 else 3) for u, v in both.edges()}
+    assert _witness(mixed).holds_for(both)
     # every vertex sums to 1, but a weight leaves [0, 1]: 2 and -1 round C_4,
     # and -1/2 on a perfect matching of K_4 with 3/4 on the other four edges
     c4 = _cycle(4)
